@@ -161,9 +161,10 @@ def find_sign_changes(f: Callable, a: float, b: float, grid_n: int = 100_000) ->
     if grid_n < 100:
         raise ValueError("grid_n must be >= 100")
     xs = np.linspace(a, b, grid_n + 1)
+    # at least one ulp, so a narrow panel far from 0 still moves off a and b
     margin = (b - a) * 1e-12
-    xs[0] += margin
-    xs[-1] -= margin
+    xs[0] = max(a + margin, np.nextafter(a, b))
+    xs[-1] = min(b - margin, np.nextafter(b, a))
     ys = _eval_nodes(f, xs)
     if not np.isfinite(ys).all():
         raise ValueError("f must be finite on the scan grid")

@@ -2,14 +2,24 @@
 
 The index over a window (a, b] is
 
-    (sum of positive jumps + increasing part of the derivative integral)
-    -----------------------------------------------------------------
+    (sum of positive jumps + increasing part of the continuous variation)
+    --------------------------------------------------------------------
     (sum of |jumps|        + total variation of the continuous part)
 
 computed either directly in the input domain or, as a cross-check, in
 the quantile domain of an input distribution. The two agree exactly in
 theory; the quantile route exists to demonstrate that the index does not
 depend on the input distribution at all.
+
+The direct route picks its method from what the function declares. A
+function with ``critical_points(lo, hi)`` (the points where its
+derivative may change sign) and ``log_eval(x)`` has the closed form: on
+each piece between critical points and jumps it is monotone, so its
+variation there is the difference of its end values. Any other function
+is known only through ``deriv``, and its derivative is integrated by
+adaptive quadrature between scanned sign changes; the scan size
+``grid_n`` and the quadrature config matter only on this path. The
+quantile route always integrates.
 """
 
 from __future__ import annotations
@@ -42,7 +52,9 @@ class IndexBreakdown:
     """Jump and integral components of the index, plus the index itself.
 
     value = (jump_pos + int_pos) / (jump_abs + int_abs), clamped to [0, 1]
-    against terminal rounding.
+    against terminal rounding. The sums are in the function's own units,
+    and inf where those overflow; value is then taken from the same sums
+    relative to the function's largest value, so it stays defined.
     """
 
     jump_pos: float
@@ -52,22 +64,61 @@ class IndexBreakdown:
     value: float
 
 
-def _finish(jump_pos: float, jump_abs: float, int_pos: float, int_abs: float) -> IndexBreakdown:
+def _finish(
+    jump_pos: float, jump_abs: float, int_pos: float, int_abs: float, scale: float = 1.0
+) -> IndexBreakdown:
+    """Index from the four sums, which are in units of ``scale``; the
+    breakdown reports them in the function's own units."""
     den = jump_abs + int_abs
-    if den < 1e-14:
+    if not (np.isfinite(den) and den > 0.0):
         raise DegenerateFunctionError(
-            "total variation over the window is numerically zero; the index is 0/0"
+            f"total variation over the window is {den!r}; the index is undefined"
         )
     value = min(max((jump_pos + int_pos) / den, 0.0), 1.0)
-    return IndexBreakdown(
-        float(jump_pos), float(jump_abs), float(int_pos), float(int_abs), float(value)
-    )
+    # a zero sum stays 0 when the scale overflows to inf
+    parts = (float(v * scale) if v else 0.0 for v in (jump_pos, jump_abs, int_pos, int_abs))
+    return IndexBreakdown(*parts, float(value))
 
 
-def _inner_jumps(fn, a: float, b: float) -> list[tuple[float, float]]:
+def _inner_jumps(jumps, a: float, b: float) -> list[tuple[float, float]]:
     # jumps only count strictly inside: the window is open at a, and a jump
     # exactly at b adds no variation within (a, b]
-    return [(x, s) for x, s in fn.jumps if a < x < b]
+    return [(x, s) for x, s in jumps if a < x < b]
+
+
+def _jump_sums(inner: list[tuple[float, float]]) -> tuple[float, float]:
+    return float(sum(max(s, 0.0) for _, s in inner)), float(sum(abs(s) for _, s in inner))
+
+
+def _telescoped(fn, a: float, b: float, jumps) -> IndexBreakdown:
+    """The index from values of fn at its critical points and jumps.
+
+    Between consecutive breakpoints p < q fn is monotone, so its variation
+    on (p, q] is |fn(q) - fn(p+)|: the left-continuous value at q against
+    the right limit at p, which is the value plus the jump declared at p.
+    The window is open at a, so a jump at a enters only as that right
+    limit. Everything is divided by the largest value, taken in log space,
+    before differencing, which keeps windows where fn overflows finite.
+    """
+    declared = {x: s for x, s in jumps if a <= x < b}
+    breaks = sorted({*fn.critical_points(a, b), *(x for x in declared if x > a)})
+    pts = np.array([a, *breaks, b])
+    logs = fn.log_eval(pts)
+    log_scale = float(logs.max())
+    vals = np.exp(logs - log_scale)
+    sizes = np.array([declared.get(x, 0.0) for x in pts[:-1]])
+    with np.errstate(divide="ignore"):
+        steps = np.sign(sizes) * np.exp(np.log(np.abs(sizes)) - log_scale)
+    d = vals[1:] - (vals[:-1] + steps)
+    with np.errstate(over="ignore"):
+        scale = float(np.exp(log_scale))
+    return _finish(
+        float(np.maximum(steps[1:], 0.0).sum()),
+        float(np.abs(steps[1:]).sum()),
+        float(d[d > 0.0].sum()),
+        float(np.abs(d).sum()),
+        scale,
+    )
 
 
 def theoretical_index(
@@ -76,24 +127,35 @@ def theoretical_index(
     config: QuadratureConfig | None = None,
     grid_n: int = 100_000,
 ) -> IndexBreakdown:
-    """Index of increase of ``fn`` over ``window`` from its derivative.
+    """Index of increase of ``fn`` over ``window``.
 
-    ``fn`` is anything exposing ``deriv(x)``, a declared ``jumps`` list
-    and a ``support`` interval; TransferFunction and PiecewiseFunction
-    both qualify. Jump points partition the integration range before any
-    root scan, so quadrature never evaluates across a discontinuity.
+    ``fn`` exposes a declared ``jumps`` list of (location, size) and a
+    ``support`` interval, plus one of two ways to its variation:
+
+    - ``critical_points(lo, hi)``, the points of (lo, hi) where the
+      derivative may change sign, together with ``log_eval(x)``, the log
+      of the (positive) function value. Then the variation on each piece
+      between critical points and jumps is a difference of two values,
+      and no quadrature runs. TransferFunction takes this path.
+    - ``deriv(x)`` alone. The window is split at the jumps, then at the
+      sign changes a ``grid_n``-point scan finds, and the derivative is
+      integrated by adaptive quadrature under ``config`` on each piece.
+      PiecewiseFunction takes this path.
+
+    ``config`` and ``grid_n`` affect only the second path.
     """
     a, b = float(window.a), float(window.b)
     s_lo, s_hi = fn.support
     if a < s_lo or b > s_hi:
         raise ValueError(f"window ({a}, {b}] outside the domain ({s_lo}, {s_hi}]")
+    jumps = fn.jumps
+    if hasattr(fn, "critical_points"):
+        return _telescoped(fn, a, b, jumps)
+    inner = _inner_jumps(jumps, a, b)
     lo = max(a, s_lo + EDGE_MARGIN)
-    inner = _inner_jumps(fn, a, b)
     part = sign_partition(fn.deriv, lo, b, [x for x, _ in inner], grid_n)
     int_pos, int_abs = signed_variation(fn.deriv, part, config)
-    jump_pos = float(sum(max(s, 0.0) for _, s in inner))
-    jump_abs = float(sum(abs(s) for _, s in inner))
-    return _finish(jump_pos, jump_abs, int_pos, int_abs)
+    return _finish(*_jump_sums(inner), int_pos, int_abs)
 
 
 def theoretical_index_via_H(
@@ -107,14 +169,14 @@ def theoretical_index_via_H(
     integrals of H, jumps map to the images tau_k = cdf(x_k) with their
     sizes unchanged, and the distribution cancels from the ratio. Must
     agree with :func:`theoretical_index` for any windowed distribution.
+    Always runs the quadrature, which makes it an independent check on
+    the closed form.
     """
     a, b = hf.dist.window.a, hf.dist.window.b
-    inner = _inner_jumps(hf.tf, a, b)
+    inner = _inner_jumps(hf.tf.jumps, a, b)
     part = sign_partition(hf, 0.0, 1.0, hf.singular_points, grid_n)
     int_pos, int_abs = signed_variation(hf, part, config)
-    jump_pos = float(sum(max(s, 0.0) for _, s in inner))
-    jump_abs = float(sum(abs(s) for _, s in inner))
-    return _finish(jump_pos, jump_abs, int_pos, int_abs)
+    return _finish(*_jump_sums(inner), int_pos, int_abs)
 
 
 def emit_h_profile(hf: HFunction, grid_n: int) -> np.ndarray:

@@ -45,18 +45,21 @@ class TransferFunction:
     def support(self) -> tuple[float, float]:
         return (0.0, np.inf)
 
-    def _branch(self, x: np.ndarray) -> np.ndarray:
+    def _log_branch(self, x: np.ndarray) -> np.ndarray:
         # log-domain evaluation: exp(-delta/x)/x^2 underflows long before
         # delta/x^2 overflows, so the direct product would produce 0 * inf
         with np.errstate(over="ignore"):
-            logh = (
+            return (
                 np.log(self.delta)
                 - 2.0 * np.log(x)
                 + np.log1p(self.gamma * x * x / self.delta)
                 + self.gamma * x
                 - self.delta / x
             )
-            return np.exp(logh)
+
+    def _branch(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(self._log_branch(x))
 
     def eval(self, x):
         """Evaluate h; accepts x >= 0 and returns the limit 0 at x = 0."""
@@ -69,6 +72,37 @@ class TransferFunction:
         return _demote(out, scalar)
 
     __call__ = eval
+
+    def log_eval(self, x):
+        """log h(x) for x >= 0, -inf at x = 0.
+
+        Finite wherever x is, including where h itself overflows
+        (gamma*x > ~709) or underflows toward x = 0.
+        """
+        x, scalar = _promote(x)
+        if (x < 0.0).any():
+            raise ValueError("x must be >= 0")
+        out = np.full_like(x, -np.inf)
+        pos = x > 0.0
+        out[pos] = self._log_branch(x[pos]) + np.where(
+            x[pos] > self.x0, np.log1p(self.rho), 0.0
+        )
+        return _demote(out, scalar)
+
+    def critical_points(self, lo: float, hi: float) -> tuple[float, ...]:
+        """Points of (lo, hi) where h' may change sign, ascending.
+
+        These are the real roots of the quartic p(x) that carries the sign
+        of h' (see deriv); the (1 + rho) scale above x0 is positive and
+        leaves the sign alone. Near-real roots are kept as well: a spare
+        breakpoint never changes a sum of h differences over monotone
+        pieces, but a missed one does.
+        """
+        g, d = self.gamma, self.delta
+        roots = np.roots([g * g, 0.0, 2.0 * g * d, -2.0 * d, d * d])
+        # a double root comes back as a complex pair split by ~sqrt(eps)
+        near_real = np.abs(roots.imag) <= 1e-6 * np.abs(roots)
+        return tuple(float(r) for r in np.unique(roots.real[near_real]) if lo < r < hi)
 
     def deriv(self, x):
         """h'(x) for x > 0, away from the switch point.

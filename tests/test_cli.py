@@ -54,6 +54,12 @@ class TestTheoretical:
         assert capsys.readouterr().out == ""
         assert path.read_text().startswith("jump_pos,")
 
+    def test_overflowing_window(self, capsys):
+        # h overflows a double long before x = 8000; the index stays defined
+        code, out, _ = run(capsys, "theoretical", "--window", "0,8000")
+        assert code == 0
+        np.testing.assert_allclose(float(rows(out)[1][4]), 1.0, atol=1e-6)
+
     def test_precision_controls_digits(self, capsys):
         _, wide, _ = run(capsys, "theoretical", "--window", "0,2", "--precision", "12")
         _, narrow, _ = run(capsys, "theoretical", "--window", "0,2", "--precision", "3")

@@ -1,7 +1,12 @@
 """Exact index computation, x-domain vs u-domain agreement, profiles."""
 
+import types
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monotone_index import (
     DegenerateFunctionError,
@@ -198,3 +203,85 @@ class TestProfile:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             emit_h_profile(self._hf(), 1)
+
+
+def quadrature_only(tf):
+    """tf without critical_points, so theoretical_index integrates its
+    derivative between scanned sign changes instead."""
+    return types.SimpleNamespace(deriv=tf.deriv, jumps=tf.jumps, support=tf.support)
+
+
+@st.composite
+def transfer_cases(draw, a_max=50.0, width_max=1e3):
+    """A TransferFunction and a window (a, a + width] with a <= a_max and
+    1e-3 <= width <= width_max.
+
+    The switch point lands at either window edge, inside the window or
+    outside it; inside, it keeps 1e-6 of the width from the edges, since
+    the quadrature fallback cannot split a panel only a few ulps wide.
+    It also stays above 1e-6, since the fallback integrates from
+    EDGE_MARGIN = 1e-12 and cannot place a jump below that.
+    """
+    gamma = draw(st.floats(0.01, 1.0))
+    delta = draw(st.floats(0.1, 5.0))
+    rho = draw(st.floats(-0.95, 10.0, exclude_min=True))
+    a = draw(st.one_of(st.just(0.0), st.floats(0.0, a_max)))
+    width = 10.0 ** draw(st.floats(-3.0, np.log10(width_max)))
+    t = draw(st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(-0.5, 1.5).filter(lambda t: min(abs(t), abs(t - 1.0)) > 1e-6),
+    ))
+    x0 = a + t * width
+    assume(x0 > 1e-6)
+    tf = TransferFunction(gamma, delta, x0, rho)
+    window = Window(a, a + width)
+    # the integrating routes see h only through h' in floating point, so
+    # h must neither overflow nor underflow at the right edge
+    assume(-600.0 < tf.log_eval(window.b) < 600.0)
+    return tf, window
+
+
+class TestClosedForm:
+    def test_critical_points_reproduce_frozen_roots(self):
+        tf = TransferFunction()
+        np.testing.assert_allclose(tf.critical_points(0.0, np.inf), (R1, R2), rtol=0, atol=1e-12)
+        assert tf.critical_points(1.0, 20.0) == tf.critical_points(0.0, np.inf)[1:]
+        assert tf.critical_points(5.0, 20.0) == ()
+
+    def test_increasing_near_origin_gives_one(self):
+        # h is strictly increasing on (0, 0.02] but of order 1e-19 there
+        assert theoretical_index(TransferFunction(), Window(0.0, 0.02)).value == 1.0
+
+    def test_overflowing_window_keeps_a_defined_index(self):
+        # h(8000) ~ exp(800) overflows a double; the index is still ~1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = theoretical_index(TransferFunction(), Window(0.0, 8000.0))
+        assert abs(got.value - 1.0) < 1e-6
+        assert not any(np.isnan(v) for v in vars(got).values())
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(transfer_cases())
+    def test_matches_quadrature_fallback(self, case):
+        tf, window = case
+        closed = theoretical_index(tf, window)
+        quad = theoretical_index(quadrature_only(tf), window)
+        assert abs(closed.value - quad.value) <= 1e-9
+
+    # H = h'(Q(u)) / q(u) spans many orders of magnitude once the window
+    # reaches into the Lomax(5) tail, and there the quadrature over u can
+    # take minutes to meet its tolerance, so these windows stay near the
+    # paper's scale
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(transfer_cases(a_max=2.0, width_max=20.0))
+    def test_matches_quantile_route(self, case):
+        tf, window = case
+        # Q(u) rounds onto a window edge for u near 0 or 1, where h' is
+        # undefined when the switch point sits at or next to that edge
+        width = window.b - window.a
+        assume(min(abs(tf.x0 - window.a), abs(tf.x0 - window.b)) > 1e-3 * width)
+        closed = theoretical_index(tf, window).value
+        for alpha in (1.5, 5.0):
+            dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
+            via = theoretical_index_via_H(HFunction(tf=tf, dist=dist)).value
+            assert abs(via - closed) <= 1e-6
