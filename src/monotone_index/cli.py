@@ -222,34 +222,20 @@ def _cmd_estimate(args, out) -> None:
 
 
 def _cmd_simulate(args, out) -> None:
+    """simulate and noise-demo: one harness, noise-demo at a single size."""
     precision = _precision_from(args)
-    config = _build(
-        ExperimentConfig,
-        dist=_params_from(args),
-        window=_window_from(args),
-        tf=_transfer_from(args),
-        base_seed=args.seed,
-        n_grid=_grid_from(args),
-        replications=args.reps,
-        noise_sigma=args.sigma,
-    )
-    points = run_experiment(config, threads=_threads_from(args))
-    write_trajectory_csv(points, out, precision)
-
-
-def _cmd_noise_demo(args, out) -> None:
-    precision = _precision_from(args)
-    if args.n < 2:
+    demo = args.command == "noise-demo"
+    if demo and args.n < 2:
         raise UsageError("--n must be >= 2")
-    # the degeneracy demo pins rho to 0: the point is noise flattening a
-    # continuous response, not the jump
     config = _build(
         ExperimentConfig,
         dist=_params_from(args),
         window=_window_from(args),
-        tf=_transfer_from(args, rho=0.0),
+        # the degeneracy demo pins rho to 0: the point is noise flattening a
+        # continuous response, not the jump
+        tf=_transfer_from(args, rho=0.0 if demo else None),
         base_seed=args.seed,
-        n_grid=(args.n,),
+        n_grid=(args.n,) if demo else _grid_from(args),
         replications=args.reps,
         noise_sigma=args.sigma,
     )
@@ -289,32 +275,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("simulate", help="index trajectories over sample sizes")
-    _add_transfer_flags(p)
-    _add_window_flags(p)
-    _add_dist_flags(p)
-    p.add_argument("--sigma", type=float, default=0.0, help="output noise sd (default 0)")
-    p.add_argument("--n-grid", metavar="N1,N2,...",
-                   help="sample sizes (default: 20 log-spaced from 100 to 100000)")
-    p.add_argument("--reps", type=int, default=20, help="replications per size (default 20)")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; MONOTONE_INDEX_THREADS overrides")
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("noise-demo", help="noise degeneracy at one sample size (rho = 0)")
-    _add_transfer_flags(p)
-    _add_window_flags(p)
-    _add_dist_flags(p)
-    p.add_argument("--sigma", type=float, default=0.1, help="output noise sd (default 0.1)")
-    p.add_argument("--n", type=int, default=100_000, help="sample size (default 100000)")
-    p.add_argument("--reps", type=int, default=20, help="replications (default 20)")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; MONOTONE_INDEX_THREADS overrides")
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_noise_demo)
+    experiment_commands = (
+        ("simulate", "index trajectories over sample sizes", 0.0,
+         "--n-grid", dict(metavar="N1,N2,...",
+                          help="sample sizes (default: 20 log-spaced from 100 to 100000)"),
+         "replications per size (default 20)"),
+        ("noise-demo", "noise degeneracy at one sample size (rho = 0)", 0.1,
+         "--n", dict(type=int, default=100_000, help="sample size (default 100000)"),
+         "replications (default 20)"),
+    )
+    for name, help_text, sigma, size_flag, size_kwargs, reps_help in experiment_commands:
+        p = sub.add_parser(name, help=help_text)
+        _add_transfer_flags(p)
+        _add_window_flags(p)
+        _add_dist_flags(p)
+        p.add_argument("--sigma", type=float, default=sigma,
+                       help=f"output noise sd (default {sigma:g})")
+        p.add_argument(size_flag, **size_kwargs)
+        p.add_argument("--reps", type=int, default=20, help=reps_help)
+        p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker threads; MONOTONE_INDEX_THREADS overrides")
+        _add_io_flags(p)
+        p.set_defaults(func=_cmd_simulate)
 
     return parser
 

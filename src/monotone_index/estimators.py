@@ -63,6 +63,18 @@ class EstimateResult:
     duplicate_x: bool = False
 
 
+def _difference_sums(d: np.ndarray) -> tuple[float, float]:
+    """(positive, absolute) sums of the consecutive output differences d.
+
+    Takes the differences rather than the outputs, so that a gathered
+    output array is freed before the sums allocate their temporaries.
+    """
+    den = float(np.abs(d).sum())
+    if den == 0.0:
+        raise DegenerateSampleError("all consecutive outputs are equal; index is 0/0")
+    return float(d[d > 0.0].sum()), den
+
+
 def index_from_ordered_outputs(ys) -> float:
     """Index of increase of an output sequence already in input order.
 
@@ -74,11 +86,7 @@ def index_from_ordered_outputs(ys) -> float:
         raise ValueError("need a one-dimensional sequence of length >= 2")
     if not np.isfinite(ys).all():
         raise ValueError("outputs must be finite")
-    d = np.diff(ys)
-    den = float(np.abs(d).sum())
-    if den == 0.0:
-        raise DegenerateSampleError("all consecutive outputs are equal; index is 0/0")
-    num = float(d[d > 0.0].sum())
+    num, den = _difference_sums(np.diff(ys))
     return num / den
 
 
@@ -90,11 +98,7 @@ def empirical_index(sample: SamplePairs) -> EstimateResult:
     """
     order = np.argsort(sample.x, kind="stable")
     xs = sample.x[order]
-    d = np.diff(sample.y[order])
-    den = float(np.abs(d).sum())
-    if den == 0.0:
-        raise DegenerateSampleError("all consecutive outputs are equal; index is 0/0")
-    num = float(d[d > 0.0].sum())
+    num, den = _difference_sums(np.diff(sample.y[order]))
     return EstimateResult(
         index=num / den,
         numerator=num,

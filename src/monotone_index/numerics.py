@@ -68,12 +68,13 @@ class QuadratureConfig:
 
 def _eval_nodes(f: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate f on a node array, falling back to a scalar loop for
-    functions that only accept scalars."""
+    functions that only accept scalars. A ValueError, such as a domain
+    error, propagates at once rather than being retried node by node."""
     try:
         ys = np.asarray(f(xs), dtype=float)
         if ys.shape == xs.shape:
             return ys
-    except (TypeError, ValueError):
+    except TypeError:
         pass
     return np.array([float(f(x)) for x in xs])
 

@@ -80,14 +80,16 @@ def _finish(
     return IndexBreakdown(*parts, float(value))
 
 
-def _inner_jumps(jumps, a: float, b: float) -> list[tuple[float, float]]:
+def _integrated(f, lo, hi, window: Window, jumps, to_panel, config, grid_n) -> IndexBreakdown:
+    """The index from quadrature of ``f`` (h' or H) over (lo, hi], split at
+    the images ``to_panel(x)`` of the jumps inside the window."""
     # jumps only count strictly inside: the window is open at a, and a jump
     # exactly at b adds no variation within (a, b]
-    return [(x, s) for x, s in jumps if a < x < b]
-
-
-def _jump_sums(inner: list[tuple[float, float]]) -> tuple[float, float]:
-    return float(sum(max(s, 0.0) for _, s in inner)), float(sum(abs(s) for _, s in inner))
+    inner = [(x, s) for x, s in jumps if window.a < x < window.b]
+    part = sign_partition(f, lo, hi, [to_panel(x) for x, _ in inner], grid_n)
+    int_pos, int_abs = signed_variation(f, part, config)
+    jump_pos = float(sum(max(s, 0.0) for _, s in inner))
+    return _finish(jump_pos, float(sum(abs(s) for _, s in inner)), int_pos, int_abs)
 
 
 def _telescoped(fn, a: float, b: float, jumps) -> IndexBreakdown:
@@ -148,14 +150,10 @@ def theoretical_index(
     s_lo, s_hi = fn.support
     if a < s_lo or b > s_hi:
         raise ValueError(f"window ({a}, {b}] outside the domain ({s_lo}, {s_hi}]")
-    jumps = fn.jumps
     if hasattr(fn, "critical_points"):
-        return _telescoped(fn, a, b, jumps)
-    inner = _inner_jumps(jumps, a, b)
+        return _telescoped(fn, a, b, fn.jumps)
     lo = max(a, s_lo + EDGE_MARGIN)
-    part = sign_partition(fn.deriv, lo, b, [x for x, _ in inner], grid_n)
-    int_pos, int_abs = signed_variation(fn.deriv, part, config)
-    return _finish(*_jump_sums(inner), int_pos, int_abs)
+    return _integrated(fn.deriv, lo, b, window, fn.jumps, float, config, grid_n)
 
 
 def theoretical_index_via_H(
@@ -172,11 +170,8 @@ def theoretical_index_via_H(
     Always runs the quadrature, which makes it an independent check on
     the closed form.
     """
-    a, b = hf.dist.window.a, hf.dist.window.b
-    inner = _inner_jumps(hf.tf.jumps, a, b)
-    part = sign_partition(hf, 0.0, 1.0, hf.singular_points, grid_n)
-    int_pos, int_abs = signed_variation(hf, part, config)
-    return _finish(*_jump_sums(inner), int_pos, int_abs)
+    dist = hf.dist
+    return _integrated(hf, 0.0, 1.0, dist.window, hf.tf.jumps, dist.cdf, config, grid_n)
 
 
 def emit_h_profile(hf: HFunction, grid_n: int) -> np.ndarray:
@@ -189,7 +184,6 @@ def emit_h_profile(hf: HFunction, grid_n: int) -> np.ndarray:
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     us = np.arange(1, grid_n + 1, dtype=float) / grid_n
-    if hf.tf.rho != 0.0:
-        hit = hf.dist.quantile(us) == hf.tf.x0
-        us[hit] -= 0.5 / grid_n
+    hit = np.isin(hf.dist.quantile(us), [x for x, _ in hf.tf.jumps])
+    us[hit] -= 0.5 / grid_n
     return np.column_stack([us, hf(us)])

@@ -4,9 +4,8 @@ the quantile-domain derivative ratio used by the distribution-free index.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -163,12 +162,16 @@ class TransferFunction:
 
 @dataclass(frozen=True)
 class Segment:
-    """One piece of a piecewise function, covering the interval (lo, hi]."""
+    """One piece of a piecewise function, covering the interval (lo, hi].
+
+    ``value`` and ``derivative`` take a 1-d numpy array of points in the
+    piece and return an array of the same shape, or a scalar constant.
+    """
 
     lo: float
     hi: float
-    value: Callable[[float], float]
-    derivative: Callable[[float], float]
+    value: Callable[[np.ndarray], np.ndarray | float]
+    derivative: Callable[[np.ndarray], np.ndarray | float]
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,8 @@ class PiecewiseFunction:
 
     Jump locations are never inferred numerically; whoever builds the
     object states where the discontinuities sit and how large they are.
-    Segments must tile an interval contiguously, left to right.
+    Segments must tile an interval contiguously, left to right. eval and
+    deriv take a scalar or an array, like TransferFunction's.
     """
 
     segments: tuple[Segment, ...]
@@ -205,26 +209,34 @@ class PiecewiseFunction:
     def support(self) -> tuple[float, float]:
         return (self.segments[0].lo, self.segments[-1].hi)
 
-    def _segment_at(self, x: float) -> Segment:
+    def _by_segment(self, x, part: str):
+        """Each segment's ``part`` callable, called once on the points of x
+        that the segment covers."""
+        x, scalar = _promote(x)
         lo, hi = self.support
-        if not lo < x <= hi:
-            raise ValueError(f"x = {x} outside the domain ({lo}, {hi}]")
-        i = bisect.bisect_left([s.hi for s in self.segments], x)
-        return self.segments[i]
+        outside = ~((x > lo) & (x <= hi))
+        if outside.any():
+            raise ValueError(f"x = {x[outside][0]} outside the domain ({lo}, {hi}]")
+        # a point on a shared edge belongs to the segment it closes
+        idx = np.searchsorted([s.hi for s in self.segments], x)
+        out = np.empty_like(x)
+        for i in np.unique(idx):
+            mask = idx == i
+            out[mask] = getattr(self.segments[i], part)(x[mask])
+        return _demote(out, scalar)
 
-    def eval(self, x: float) -> float:
+    def eval(self, x):
         """Value at x; at a jump point this is the left (lower) branch."""
-        return float(self._segment_at(float(x)).value(float(x)))
+        return self._by_segment(x, "value")
 
     __call__ = eval
 
-    def deriv(self, x: float) -> float:
+    def deriv(self, x):
         """Derivative at x; raises SingularPointError at declared jumps."""
-        x = float(x)
         for loc, _ in self.jumps:
-            if x == loc:
+            if np.any(np.asarray(x) == loc):
                 raise SingularPointError(f"derivative undefined at jump point {loc}")
-        return float(self._segment_at(x).derivative(x))
+        return self._by_segment(x, "derivative")
 
 
 @dataclass(frozen=True)
@@ -235,9 +247,13 @@ class HFunction:
     Integrating H over (0, 1] reproduces exactly the window integrals of
     h' over (a, b]: the substitution x = Q(u) carries one to the other.
     Defined for 0 < u <= 1; u = 1 lands on x = b by left continuity.
+
+    ``tf`` is any function object with a ``jumps`` list of (location,
+    size) and a ``deriv`` that takes a numpy array, such as
+    TransferFunction or PiecewiseFunction.
     """
 
-    tf: TransferFunction
+    tf: Any
     dist: WindowedDistribution
 
     def __call__(self, u):

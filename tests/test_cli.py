@@ -213,6 +213,13 @@ class TestNoiseDemo:
         for row in table:
             assert abs(float(row[3]) - 0.5) < 0.02
 
+    def test_same_table_as_simulate_at_one_size(self, capsys):
+        _, demo, _ = run(capsys, "noise-demo", "--window", "0,2", "--n", "500",
+                         "--reps", "2", "--seed", "3")
+        _, sim, _ = run(capsys, "simulate", "--window", "0,2", "--rho", "0",
+                        "--n-grid", "500", "--sigma", "0.1", "--reps", "2", "--seed", "3")
+        assert demo == sim
+
     def test_rho_flag_is_ignored(self, capsys):
         base = ("noise-demo", "--window", "0,2", "--n", "500", "--reps", "2", "--seed", "3")
         _, plain, _ = run(capsys, *base)

@@ -99,6 +99,21 @@ class TestFindSignChanges:
         for r in roots:
             assert abs(TF0.deriv(r)) < 1e-8
 
+    def test_domain_error_is_not_retried_pointwise(self):
+        # undefined on the last tenth of the panel, as h' is on a switch
+        # point at the window edge; a scalar retry would call it ~900 times
+        calls = []
+
+        def partly_undefined(x):
+            calls.append(x)
+            if np.any(np.asarray(x) > 0.9):
+                raise ValueError("outside the domain")
+            return np.asarray(x) - 0.5
+
+        with pytest.raises(ValueError):
+            find_sign_changes(partly_undefined, 0.0, 1.0, 1000)
+        assert len(calls) == 1
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             find_sign_changes(np.sin, 0.0, 1.0, grid_n=50)

@@ -162,6 +162,17 @@ class TestViaH:
         np.testing.assert_allclose(via.value, direct.value, atol=1e-6)
         np.testing.assert_allclose(via.int_abs, direct.int_abs, atol=1e-6)
 
+    @pytest.mark.parametrize("alpha", [1.5, 5.0])
+    @pytest.mark.parametrize("name", list(WINDOWS))
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    def test_piecewise_function_matches_transfer(self, alpha, name, rho):
+        tf = TransferFunction(rho=rho)
+        dist = WindowedDistribution(LomaxParams(alpha, 1.0), WINDOWS[name])
+        native = theoretical_index_via_H(HFunction(tf=tf, dist=dist))
+        pw = theoretical_index_via_H(HFunction(tf=tf.as_piecewise(), dist=dist))
+        assert abs(pw.value - native.value) <= 1e-9
+        np.testing.assert_allclose(pw.int_abs, native.int_abs, rtol=1e-9)
+
     def test_alpha_drops_out(self):
         """The u-domain value cannot depend on the input distribution."""
         tf = TransferFunction(rho=-0.5)
@@ -199,6 +210,13 @@ class TestProfile:
         prof = emit_h_profile(hf, 10)
         assert prof[-1, 0] == 1.0 - 0.05
         assert np.isfinite(prof[:, 1]).all()
+
+    @pytest.mark.parametrize("window", [Window(8.0, 12.0), Window(8.0, 10.0)])
+    def test_piecewise_function_matches_transfer(self, window):
+        # on (8, 10] the last row lands on the jump and is nudged
+        hf = self._hf(window=window, rho=0.5)
+        pw = HFunction(tf=hf.tf.as_piecewise(), dist=hf.dist)
+        np.testing.assert_allclose(emit_h_profile(pw, 50), emit_h_profile(hf, 50), rtol=1e-15)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,28 @@ class TestPiecewiseFunction:
                 jumps=((2.0, 0.5),),  # jump must be strictly interior
             )
 
+    def test_arrays_match_pointwise_calls(self):
+        # the tent's derivative callables return scalar constants, which
+        # must broadcast over the segment's points
+        f = self._tent()
+        x = np.array([0.25, 1.5, 1.0, 0.5, 2.0, 1.75])
+        np.testing.assert_array_equal(f.eval(x), [f.eval(float(v)) for v in x])
+        off_jump = x[x != 1.0]
+        np.testing.assert_array_equal(f.deriv(off_jump), [f.deriv(float(v)) for v in off_jump])
+        pw = TF_UP.as_piecewise()
+        xs = np.linspace(0.5, 29.5, 97)
+        np.testing.assert_array_equal(pw.eval(xs), [pw.eval(float(v)) for v in xs])
+        np.testing.assert_array_equal(pw.deriv(xs), [pw.deriv(float(v)) for v in xs])
+
+    def test_array_errors(self):
+        f = self._tent()
+        with pytest.raises(SingularPointError):
+            f.deriv(np.array([0.5, 1.0, 1.5]))
+        with pytest.raises(ValueError):
+            f.eval(np.array([0.5, 2.5]))
+        with pytest.raises(ValueError):
+            f.deriv(np.array([0.0, 0.5]))
+
     def test_transfer_round_trip(self):
         pw = TF_UP.as_piecewise()
         xs = np.linspace(0.5, 29.5, 97)
