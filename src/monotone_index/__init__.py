@@ -28,14 +28,6 @@ from .estimators import (
     index_from_ordered_outputs,
     noisy_outputs,
 )
-from .numerics import (
-    QuadratureConfig,
-    SignPartition,
-    find_sign_changes,
-    integrate,
-    sign_partition,
-    signed_variation,
-)
 from .rng import generator, mix_seed, splitmix64
 from .simulation import (
     ExperimentConfig,
@@ -66,10 +58,8 @@ __all__ = [
     "LomaxParams",
     "NonConvergenceError",
     "PiecewiseFunction",
-    "QuadratureConfig",
     "SamplePairs",
     "Segment",
-    "SignPartition",
     "SingularPointError",
     "SummaryRow",
     "TrajectoryPoint",
@@ -79,10 +69,8 @@ __all__ = [
     "default_n_grid",
     "emit_h_profile",
     "empirical_index",
-    "find_sign_changes",
     "generator",
     "index_from_ordered_outputs",
-    "integrate",
     "lomax_cdf",
     "lomax_density_quantile",
     "lomax_pdf",
@@ -90,8 +78,6 @@ __all__ = [
     "mix_seed",
     "noisy_outputs",
     "run_experiment",
-    "sign_partition",
-    "signed_variation",
     "splitmix64",
     "summarize",
     "theoretical_index",

@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -173,34 +174,37 @@ def _cmd_hfunc(args, out) -> None:
 
 
 def _read_pairs(path: str) -> SamplePairs:
+    # typed arrays hold 8 bytes a value, not a Python float object each
+    xs = array("d")
+    ys = array("d")
+    seen_row = False
     try:
         with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+            reader = csv.reader(fh)
+            for row in reader:
+                if not any(c.strip() for c in row):
+                    continue
+                try:
+                    x, y = row
+                    x, y = float(x), float(y)
+                except ValueError:
+                    if seen_row:
+                        raise UsageError(
+                            f"{path}: line {reader.line_num}: expected two numeric columns"
+                        ) from None
+                    if len(row) != 2:
+                        raise UsageError(f"{path}: expected two columns per row") from None
+                    # a non-numeric first row is a header
+                else:
+                    xs.append(x)
+                    ys.append(y)
+                seen_row = True
     except OSError as exc:
         raise UsageError(str(exc)) from exc
-    if not rows:
+    if not seen_row:
         raise UsageError(f"{path}: no data rows")
-
-    def parse(row):
-        if len(row) != 2:
-            return None
-        try:
-            return float(row[0]), float(row[1])
-        except ValueError:
-            return None
-
-    first = parse(rows[0])
-    if first is None and len(rows[0]) != 2:
-        raise UsageError(f"{path}: expected two columns per row")
-    data = [first] if first is not None else []  # non-numeric first row is a header
-    for line, row in enumerate(rows[1:], start=2):
-        point = parse(row)
-        if point is None:
-            raise UsageError(f"{path}: line {line}: expected two numeric columns")
-        data.append(point)
-    if len(data) < 2:
+    if len(xs) < 2:
         raise UsageError(f"{path}: need at least two data rows")
-    xs, ys = zip(*data)
     return _build(SamplePairs, np.array(xs), np.array(ys))
 
 

@@ -19,4 +19,4 @@ class DegenerateFunctionError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision depth above tolerance."""
+    """Adaptive quadrature stayed above tolerance at its depth or work limit."""

@@ -17,9 +17,9 @@ derivative may change sign) and ``log_eval(x)`` has the closed form: on
 each piece between critical points and jumps it is monotone, so its
 variation there is the difference of its end values. Any other function
 is known only through ``deriv``, and its derivative is integrated by
-adaptive quadrature between scanned sign changes; the scan size
-``grid_n`` and the quadrature config matter only on this path. The
-quantile route always integrates.
+adaptive quadrature between scanned sign changes, under the fixed scan
+size and tolerances of :mod:`.numerics`. The quantile route always
+integrates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import Window
 from .errors import DegenerateFunctionError
-from .numerics import QuadratureConfig, sign_partition, signed_variation
+from .numerics import sign_partition, signed_variation
 from .transfer import HFunction
 
 __all__ = [
@@ -80,14 +80,14 @@ def _finish(
     return IndexBreakdown(*parts, float(value))
 
 
-def _integrated(f, lo, hi, window: Window, jumps, to_panel, config, grid_n) -> IndexBreakdown:
+def _integrated(f, lo, hi, window: Window, jumps, to_panel) -> IndexBreakdown:
     """The index from quadrature of ``f`` (h' or H) over (lo, hi], split at
     the images ``to_panel(x)`` of the jumps inside the window."""
     # jumps only count strictly inside: the window is open at a, and a jump
     # exactly at b adds no variation within (a, b]
     inner = [(x, s) for x, s in jumps if window.a < x < window.b]
-    part = sign_partition(f, lo, hi, [to_panel(x) for x, _ in inner], grid_n)
-    int_pos, int_abs = signed_variation(f, part, config)
+    breaks = sign_partition(f, lo, hi, [to_panel(x) for x, _ in inner])
+    int_pos, int_abs = signed_variation(f, breaks)
     jump_pos = float(sum(max(s, 0.0) for _, s in inner))
     return _finish(jump_pos, float(sum(abs(s) for _, s in inner)), int_pos, int_abs)
 
@@ -123,12 +123,7 @@ def _telescoped(fn, a: float, b: float, jumps) -> IndexBreakdown:
     )
 
 
-def theoretical_index(
-    fn,
-    window: Window,
-    config: QuadratureConfig | None = None,
-    grid_n: int = 100_000,
-) -> IndexBreakdown:
+def theoretical_index(fn, window: Window) -> IndexBreakdown:
     """Index of increase of ``fn`` over ``window``.
 
     ``fn`` exposes a declared ``jumps`` list of (location, size) and a
@@ -139,12 +134,10 @@ def theoretical_index(
       of the (positive) function value. Then the variation on each piece
       between critical points and jumps is a difference of two values,
       and no quadrature runs. TransferFunction takes this path.
-    - ``deriv(x)`` alone. The window is split at the jumps, then at the
-      sign changes a ``grid_n``-point scan finds, and the derivative is
-      integrated by adaptive quadrature under ``config`` on each piece.
+    - ``deriv(x)`` alone, taking and returning numpy arrays. The window
+      is split at the jumps, then at the sign changes a scan finds, and
+      the derivative is integrated by adaptive quadrature on each piece.
       PiecewiseFunction takes this path.
-
-    ``config`` and ``grid_n`` affect only the second path.
     """
     a, b = float(window.a), float(window.b)
     s_lo, s_hi = fn.support
@@ -153,14 +146,10 @@ def theoretical_index(
     if hasattr(fn, "critical_points"):
         return _telescoped(fn, a, b, fn.jumps)
     lo = max(a, s_lo + EDGE_MARGIN)
-    return _integrated(fn.deriv, lo, b, window, fn.jumps, float, config, grid_n)
+    return _integrated(fn.deriv, lo, b, window, fn.jumps, float)
 
 
-def theoretical_index_via_H(
-    hf: HFunction,
-    config: QuadratureConfig | None = None,
-    grid_n: int = 100_000,
-) -> IndexBreakdown:
+def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
     """The same index computed by integrating H over the unit interval.
 
     The substitution x = Q(u) maps window integrals of h' one-to-one onto
@@ -171,7 +160,7 @@ def theoretical_index_via_H(
     the closed form.
     """
     dist = hf.dist
-    return _integrated(hf, 0.0, 1.0, dist.window, hf.tf.jumps, dist.cdf, config, grid_n)
+    return _integrated(hf, 0.0, 1.0, dist.window, hf.tf.jumps, dist.cdf)
 
 
 def emit_h_profile(hf: HFunction, grid_n: int) -> np.ndarray:

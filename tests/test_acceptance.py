@@ -262,7 +262,7 @@ class TestAcceptance:
             jumps=((10.0, -tf.jump_size()),),
         )
         v = theoretical_index(tf, Window(0.0, 20.0)).value
-        w = theoretical_index(neg, Window(0.0, 20.0), grid_n=20_000).value
+        w = theoretical_index(neg, Window(0.0, 20.0)).value
         if abs(w - (1.0 - v)) > 1e-9:
             failures.append("reflection")
 

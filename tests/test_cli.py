@@ -154,6 +154,12 @@ class TestEstimate:
         assert code == 3
         assert "error:" in err
 
+    def test_error_line_counts_blank_lines(self, capsys, tmp_path):
+        path = self.write(tmp_path, "x,y\n1,2\n\n\n3,abc\n")
+        code, _, err = run(capsys, "estimate", "--input", path)
+        assert code == 2
+        assert "line 5:" in err
+
     def test_malformed_rows(self, capsys, tmp_path):
         assert run(capsys, "estimate", "--input",
                    self.write(tmp_path, "1,2\n3,4,5\n"))[0] == 2

@@ -105,7 +105,7 @@ class TestDomainAndDegeneracy:
     def test_flat_function_degenerates(self):
         pw = PiecewiseFunction((Segment(0.0, 1.0, lambda x: 5.0, lambda x: 0.0),))
         with pytest.raises(DegenerateFunctionError):
-            theoretical_index(pw, Window(0.0, 1.0), grid_n=1000)
+            theoretical_index(pw, Window(0.0, 1.0))
 
 
 class TestReflectionAndEdgeJumps:
@@ -127,7 +127,7 @@ class TestReflectionAndEdgeJumps:
         )
         for window in WINDOWS.values():
             v = theoretical_index(tf, window).value
-            w = theoretical_index(neg, window, grid_n=20_000).value
+            w = theoretical_index(neg, window).value
             np.testing.assert_allclose(w, 1.0 - v, atol=1e-9)
 
     def test_jump_at_right_edge_excluded(self):
@@ -144,7 +144,7 @@ class TestReflectionAndEdgeJumps:
         for rho, window in ((0.5, Window(8.0, 12.0)), (-0.5, Window(0.0, 20.0))):
             tf = TransferFunction(rho=rho)
             direct = theoretical_index(tf, window)
-            via_pw = theoretical_index(tf.as_piecewise(), window, grid_n=20_000)
+            via_pw = theoretical_index(tf.as_piecewise(), window)
             np.testing.assert_allclose(via_pw.value, direct.value, atol=1e-9)
             np.testing.assert_allclose(via_pw.int_abs, direct.int_abs, rtol=1e-8)
 
@@ -303,3 +303,42 @@ class TestClosedForm:
             dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
             via = theoretical_index_via_H(HFunction(tf=tf, dist=dist)).value
             assert abs(via - closed) <= 1e-6
+
+
+def scaled(tf, c):
+    """c * tf through the closed-form protocol: log values shifted by
+    log c, jump sizes times c, the same critical points and support."""
+    log_c = np.log(c)
+    return types.SimpleNamespace(
+        log_eval=lambda x: tf.log_eval(x) + log_c,
+        jumps=tuple((x, c * s) for x, s in tf.jumps),
+        critical_points=tf.critical_points,
+        support=tf.support,
+    )
+
+
+def negated(pw):
+    """-pw: every segment's value and derivative negated, and every jump."""
+    return PiecewiseFunction(
+        tuple(
+            Segment(s.lo, s.hi, lambda x, f=s.value: -f(x), lambda x, d=s.derivative: -d(x))
+            for s in pw.segments
+        ),
+        jumps=tuple((x, -size) for x, size in pw.jumps),
+    )
+
+
+class TestInvariance:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(transfer_cases(), st.floats(-30.0, 30.0))
+    def test_scale_invariance(self, case, k):
+        tf, window = case
+        got = theoretical_index(scaled(tf, 10.0 ** k), window).value
+        assert abs(got - theoretical_index(tf, window).value) <= 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(transfer_cases())
+    def test_reflection_on_the_integrating_route(self, case):
+        tf, window = case
+        reflected = theoretical_index(negated(tf.as_piecewise()), window).value
+        assert abs(reflected - (1.0 - theoretical_index(tf, window).value)) <= 1e-9
