@@ -173,6 +173,19 @@ def _cmd_hfunc(args, out) -> None:
         writer.writerow((_fmt(u, precision), _fmt(value, precision)))
 
 
+def _undecodable_line(path: str, encoding: str) -> int:
+    """Number of the first line of path that does not decode; the text
+    layer decodes ahead in blocks, so its error cannot tell."""
+    number = 0
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                raw.decode(encoding)
+            except UnicodeDecodeError:
+                break
+    return number
+
+
 def _read_pairs(path: str) -> SamplePairs:
     # typed arrays hold 8 bytes a value, not a Python float object each
     xs = array("d")
@@ -201,6 +214,11 @@ def _read_pairs(path: str) -> SamplePairs:
                 seen_row = True
     except OSError as exc:
         raise UsageError(str(exc)) from exc
+    except csv.Error as exc:
+        raise UsageError(f"{path}: line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path, exc.encoding)
+        raise UsageError(f"{path}: line {line}: not {exc.encoding} text ({exc.reason})") from exc
     if not seen_row:
         raise UsageError(f"{path}: no data rows")
     if len(xs) < 2:

@@ -1,14 +1,16 @@
 """Adaptive quadrature and sign partitioning for piecewise-smooth integrands.
 
-The quadrature is a Gauss-Kronrod 7/15 pair under a global worst-panel
-refinement queue. Nodes are strictly interior, so integrands may be
-undefined at panel endpoints (open support edges, jump points) as long
-as the caller splits panels there.
+The quadrature is a Gauss-Kronrod 7/15 pair under global worst-panel
+refinement, as in QUADPACK, run in rounds: each round halves the worst
+panels and calls the integrand once, on the nodes of all their halves.
+Roots are refined the same way, all brackets in one call per round.
+Nodes are strictly interior, so integrands may be undefined at panel
+endpoints (open support edges, jump points) as long as the caller
+splits panels there.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,47 +56,63 @@ _GAUSS_W = np.zeros(15)
 for _k, _w in zip((1, 3, 5), _WG[:3]):
     _GAUSS_W[_k] = _GAUSS_W[14 - _k] = _w
 _GAUSS_W[7] = _WG[3]
+# find_sign_changes splits each bracket into sixteenths
+_SIXTEENTHS = np.arange(17) / 16.0
 
 
 def _eval_nodes(f: Callable, xs: np.ndarray) -> np.ndarray:
     """f on a node array; a scalar result such as a constant broadcasts."""
     ys = np.asarray(f(xs), dtype=float)
-    # broadcast_to costs ~5 us, a twentieth of an H evaluation at 15 nodes
     return ys if ys.shape == xs.shape else np.broadcast_to(ys, xs.shape)
 
 
-def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
+def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 integrals and error estimates of f on the panels [a[i], b[i]],
+    from one call of f on all their nodes."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    ys = _eval_nodes(f, c + h * _NODES)
-    kronrod = h * float(_KRONROD_W @ ys)
-    gauss = h * float(_GAUSS_W @ ys)
-    return kronrod, abs(kronrod - gauss)
+    xs = (c[:, None] + h[:, None] * _NODES).ravel()
+    ys = _eval_nodes(f, xs).reshape(-1, 15)
+    kronrod = h * (ys @ _KRONROD_W)
+    gauss = h * (ys @ _GAUSS_W)
+    return kronrod, np.abs(kronrod - gauss)
 
 
 def integrate(f: Callable, a: float, b: float) -> float:
     """Integral of f over [a, b] by adaptive Gauss-Kronrod 7/15.
 
-    The panel with the worst error estimate is halved until the summed
-    error meets max(ABS_TOL, REL_TOL * |estimate|). A panel that reaches
-    MAX_DEPTH is frozen; if the frozen error alone exceeds the budget, or
-    the work passes MAX_PANELS panel evaluations, NonConvergenceError is
-    raised. Endpoints are never evaluated.
+    Refinement runs in rounds until the summed error meets
+    max(ABS_TOL, REL_TOL * |estimate|). Each round halves the fewest
+    worst panels whose errors add up to the excess over that tolerance,
+    and evaluates all their halves in one call of f. A panel that
+    reaches MAX_DEPTH is frozen; if a frozen panel's error alone exceeds
+    the tolerance, if every panel is frozen, or once MAX_PANELS panel
+    evaluations are spent, NonConvergenceError is raised. Endpoints are
+    never evaluated.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("bounds must be finite")
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
 
-    est, err = _gk15(f, a, b)
-    total_est, total_err = est, err
-    heap = [(-err, 0, a, b, est, 0)]
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    est, err = _gk15(f, lo, hi)
+    depth = np.zeros(1, dtype=int)
     panels = 1
     while True:
+        total_est, total_err = float(est.sum()), float(err.sum())
         tol = max(ABS_TOL, REL_TOL * abs(total_est))
         if total_err <= tol:
             return total_est
-        if not heap:
+        live = depth < MAX_DEPTH
+        stuck = np.flatnonzero(~live & (err > tol))
+        if stuck.size:
+            i = stuck[np.argmax(err[stuck])]
+            raise NonConvergenceError(
+                f"panel [{lo[i]:.6g}, {hi[i]:.6g}] stuck at error {err[i]:.3e} "
+                f"after {MAX_DEPTH} halvings (tolerance {tol:.3e})"
+            )
+        if not live.any():
             raise NonConvergenceError(
                 f"residual error {total_err:.3e} above tolerance {tol:.3e} "
                 f"with every panel at max depth {MAX_DEPTH}"
@@ -104,46 +122,37 @@ def integrate(f: Callable, a: float, b: float) -> float:
                 f"residual error {total_err:.3e} above tolerance {tol:.3e} "
                 f"after {panels} panel evaluations"
             )
-        neg_err, _, pa, pb, pest, pdepth = heapq.heappop(heap)
-        perr = -neg_err
-        if pdepth >= MAX_DEPTH:
-            if perr > tol:
-                raise NonConvergenceError(
-                    f"panel [{pa:.6g}, {pb:.6g}] stuck at error {perr:.3e} "
-                    f"after {MAX_DEPTH} halvings (tolerance {tol:.3e})"
-                )
-            continue  # frozen: its contribution stays counted in the totals
-        m = 0.5 * (pa + pb)
-        le, lerr = _gk15(f, pa, m)
-        re, rerr = _gk15(f, m, pb)
-        total_est += le + re - pest
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, panels, pa, m, le, pdepth + 1))
-        heapq.heappush(heap, (-rerr, panels + 1, m, pb, re, pdepth + 1))
-        panels += 2
-
-
-def _bisect_root(f: Callable, lo: float, hi: float, flo: float, width: float = 1e-12) -> float:
-    lo, hi = float(lo), float(hi)
-    neg = flo < 0.0
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        fm = float(f(mid))
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == neg:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        # the fewest worst panels whose errors cover the excess over tol
+        worst = np.flatnonzero(live)
+        worst = worst[np.argsort(-err[worst], kind="stable")]
+        k = 1 + int(np.count_nonzero(np.cumsum(err[worst]) < total_err - tol))
+        # trimmed so that the work never passes MAX_PANELS + 1 evaluations
+        split = worst[:min(k, (MAX_PANELS + 1 - panels) // 2)]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_est, new_err = _gk15(f, new_lo, new_hi)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        est = np.concatenate([est[keep], new_est])
+        err = np.concatenate([err[keep], new_err])
+        child = depth[split] + 1
+        depth = np.concatenate([depth[keep], child, child])
+        panels += new_lo.size
 
 
 def find_sign_changes(f: Callable, a: float, b: float, grid_n: int = SCAN_N) -> list[float]:
     """Sign-change points of f strictly inside (a, b), sorted.
 
-    Grid scan plus bisection to interval width 1e-12. Tangential roots
-    (no sign flip) and root pairs closer than the grid pitch are missed
-    by construction; pick grid_n for the scale at hand. Endpoints are
+    A grid scan brackets the sign flips; then every bracket is refined
+    at once, in rounds of one call of f on 15 interior points of each
+    open bracket, keeping the sixteenth where the sign flips, until its
+    width is at most 1e-12 or a single float step. A point where f is
+    exactly 0 is returned as the root. Tangential roots (no sign flip)
+    and root pairs closer than the grid pitch are missed by
+    construction; pick grid_n for the scale at hand. Endpoints are
     nudged inward, so f may be undefined at a and b themselves.
     """
     if not a < b:
@@ -159,15 +168,30 @@ def find_sign_changes(f: Callable, a: float, b: float, grid_n: int = SCAN_N) -> 
     if not np.isfinite(ys).all():
         raise ValueError("f must be finite on the scan grid")
     s = np.sign(ys)
-    roots = [
-        _bisect_root(f, xs[i], xs[i + 1], ys[i])
-        for i in np.nonzero(s[:-1] * s[1:] < 0.0)[0]
-    ]
     # a grid node sitting exactly on a root counts only if the sign flips across it
-    for i in np.nonzero(s == 0.0)[0]:
-        if 0 < i < s.size - 1 and s[i - 1] * s[i + 1] < 0.0:
-            roots.append(float(xs[i]))
-    return sorted(roots)
+    on_grid = np.flatnonzero((s[1:-1] == 0.0) & (s[:-2] * s[2:] < 0.0)) + 1
+    roots = [xs[on_grid]]
+    i = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    lo, hi, sign_lo = xs[i], xs[i + 1], s[i]
+    while True:
+        mid = 0.5 * (lo + hi)
+        done = (hi - lo <= 1e-12) | (mid <= lo) | (mid >= hi)
+        roots.append(mid[done])
+        lo, hi, sign_lo = lo[~done], hi[~done], sign_lo[~done]
+        if not lo.size:
+            break
+        pts = lo[:, None] + (hi - lo)[:, None] * _SIXTEENTHS
+        pts[:, -1] = hi
+        sp = np.sign(_eval_nodes(f, pts[:, 1:-1].ravel())).reshape(-1, 15)
+        # past the last interior point the sign is the right end's
+        sp = np.column_stack([sp, -sign_lo])
+        # the first point off the left sign is a root (f = 0) or ends the bracket
+        j = (sp != sign_lo[:, None]).argmax(axis=1)
+        rows = np.arange(lo.size)
+        hit = sp[rows, j] == 0.0
+        roots.append(pts[rows, j + 1][hit])
+        lo, hi, sign_lo = pts[rows, j][~hit], pts[rows, j + 1][~hit], sign_lo[~hit]
+    return sorted(float(r) for r in np.concatenate(roots))
 
 
 def sign_partition(

@@ -17,7 +17,31 @@ def rows(text):
     return [line.split(",") for line in text.strip().splitlines()]
 
 
+# the data row of `theoretical --via-h` on each paper (window, rho) case,
+# the same for both paper alphas at the default precision
+PAPER_VIA_H = {
+    ("w02", "0"): "0,0,0.584894,0.910502,0.642386,0.642386",
+    ("w02", "0.5"): "0,0,0.584894,0.910502,0.642386,0.642386",
+    ("w02", "-0.5"): "0,0,0.584894,0.910502,0.642386,0.642386",
+    ("w812", "0"): "0,0,0.0995871,0.0995871,1,1",
+    ("w812", "0.5"): "0.135278,0.135278,0.127648,0.127648,1,1",
+    ("w812", "-0.5"): "0,0.135278,0.0715261,0.0715261,0.345864,0.345864",
+    ("w020", "0"): "0,0,1.11775,1.51506,0.73776,0.73776",
+    ("w020", "0.5"): "0.135278,0.135278,1.34269,1.74,0.788133,0.788133",
+    ("w020", "-0.5"): "0,0.135278,0.892807,1.29012,0.626358,0.626358",
+}
+
+
 class TestTheoretical:
+    @pytest.mark.parametrize("params", ["a15", "a5"])
+    @pytest.mark.parametrize("window,rho", list(PAPER_VIA_H))
+    def test_paper_cases_via_h_byte_identical(self, capsys, params, window, rho):
+        code, out, err = run(capsys, "theoretical", "--paper-window", window, "--rho", rho,
+                             "--paper-params", params, "--via-h")
+        assert (code, err) == (0, "")
+        assert out == ("jump_pos,jump_abs,int_pos,int_abs,value,value_via_h\n"
+                       + PAPER_VIA_H[window, rho] + "\n")
+
     def test_narrow_window(self, capsys):
         code, out, _ = run(capsys, "theoretical", "--window", "0,2")
         assert code == 0
@@ -159,6 +183,19 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--input", path)
         assert code == 2
         assert "line 5:" in err
+
+    def test_oversized_field_is_usage_error(self, capsys, tmp_path):
+        path = self.write(tmp_path, "x,y\n1,2\n3," + "9" * 200_000 + "\n5,6\n")
+        code, _, err = run(capsys, "estimate", "--input", path)
+        assert code == 2
+        assert f"{path}: line 3: field larger than field limit" in err
+
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(b"x,y\n1,2\n3,4\n5,\xff6\n7,8\n")
+        code, _, err = run(capsys, "estimate", "--input", str(path))
+        assert code == 2
+        assert f"{path}: line 4: not " in err
 
     def test_malformed_rows(self, capsys, tmp_path):
         assert run(capsys, "estimate", "--input",

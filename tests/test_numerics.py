@@ -5,6 +5,7 @@ import pytest
 
 from monotone_index import NonConvergenceError, TransferFunction
 from monotone_index.numerics import (
+    MAX_PANELS,
     find_sign_changes,
     integrate,
     sign_partition,
@@ -12,6 +13,17 @@ from monotone_index.numerics import (
 )
 
 TF0 = TransferFunction()
+
+
+def counted(f):
+    """f plus the list of the number of points of each call made to it."""
+    sizes = []
+
+    def wrapped(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return wrapped, sizes
 
 
 class TestIntegrate:
@@ -72,6 +84,21 @@ class TestIntegrate:
         with pytest.raises(NonConvergenceError, match="panel evaluations"):
             integrate(lambda x: np.sin(1e6 * x), 0.0, 1.0)
 
+    def test_one_integrand_call_per_refinement_round(self):
+        # ~60 000 panels, evaluated a round at a time
+        f, sizes = counted(lambda x: np.sin(1e5 * x))
+        got = integrate(f, 0.0, 1.0)
+        np.testing.assert_allclose(got, (1.0 - np.cos(1e5)) / 1e5, rtol=1e-9)
+        assert len(sizes) <= 64
+
+    def test_work_cap_counts_every_panel(self):
+        f, sizes = counted(lambda x: np.sin(1e6 * x))
+        with pytest.raises(NonConvergenceError, match="panel evaluations"):
+            integrate(f, 0.0, 1.0)
+        assert sum(sizes) % 15 == 0
+        assert sum(sizes) // 15 <= MAX_PANELS + 1
+        assert len(sizes) <= 64
+
 
 class TestFindSignChanges:
     def test_single_linear_root(self):
@@ -84,6 +111,25 @@ class TestFindSignChanges:
     def test_sine_roots(self):
         roots = find_sign_changes(np.sin, 0.5, 10.0, grid_n=1000)
         np.testing.assert_allclose(roots, [np.pi, 2.0 * np.pi, 3.0 * np.pi], atol=1e-9)
+
+    def test_all_brackets_refined_together(self):
+        f, sizes = counted(np.sin)
+        roots = find_sign_changes(f, 0.5, 100.0, grid_n=1000)
+        np.testing.assert_allclose(roots, np.pi * np.arange(1, 32), atol=1e-9)
+        # the scan, then one call per round of sixteenths until 1e-12
+        assert len(sizes) <= 12
+
+    def test_root_where_floats_are_coarser_than_the_width(self):
+        # above 8192 neighbouring doubles lie more than 1e-12 apart, and
+        # this f has no exact zero, so refinement must stop at one ulp
+        def f(x):
+            if len(sizes) > 100:
+                raise RuntimeError("refinement does not stop")
+            return (x - 10000.3) + 9e-13
+
+        f, sizes = counted(f)
+        (root,) = find_sign_changes(f, 1e4, 1e4 + 1.0, grid_n=100)
+        np.testing.assert_allclose(root, 10000.3, atol=4e-12)
 
     def test_transfer_derivative_roots(self):
         """The two stationary points of h, frozen from a bisection oracle."""
