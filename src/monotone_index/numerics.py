@@ -73,6 +73,8 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     h = 0.5 * (b - a)
     xs = (c[:, None] + h[:, None] * _NODES).ravel()
     ys = _eval_nodes(f, xs).reshape(-1, 15)
+    if not np.isfinite(ys).all():
+        raise ValueError("f must be finite at every quadrature node")
     kronrod = h * (ys @ _KRONROD_W)
     gauss = h * (ys @ _GAUSS_W)
     return kronrod, np.abs(kronrod - gauss)
@@ -87,8 +89,9 @@ def integrate(f: Callable, a: float, b: float) -> float:
     and evaluates all their halves in one call of f. A panel that
     reaches MAX_DEPTH is frozen; if a frozen panel's error alone exceeds
     the tolerance, if every panel is frozen, or once MAX_PANELS panel
-    evaluations are spent, NonConvergenceError is raised. Endpoints are
-    never evaluated.
+    evaluations are spent, NonConvergenceError is raised. A value of f
+    that is not finite at any node raises ValueError at once. Endpoints
+    are never evaluated.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("bounds must be finite")

@@ -19,7 +19,10 @@ variation there is the difference of its end values. Any other function
 is known only through ``deriv``, and its derivative is integrated by
 adaptive quadrature between scanned sign changes, under the fixed scan
 size and tolerances of :mod:`.numerics`. The quantile route always
-integrates.
+integrates. It splits (0, 1] at the cdf images of the declared jumps and
+critical points where the function declares them, since H has the sign
+of h'; otherwise it scans H for its sign changes as the direct route
+scans h'.
 """
 
 from __future__ import annotations
@@ -80,13 +83,21 @@ def _finish(
     return IndexBreakdown(*parts, float(value))
 
 
-def _integrated(f, lo, hi, window: Window, jumps, to_panel) -> IndexBreakdown:
+def _integrated(fn, f, lo, hi, window: Window, to_panel) -> IndexBreakdown:
     """The index from quadrature of ``f`` (h' or H) over (lo, hi], split at
-    the images ``to_panel(x)`` of the jumps inside the window."""
+    the images ``to_panel(x)`` of fn's jumps inside the window and of its
+    declared critical points, or, when fn declares none, at the sign
+    changes of f that a scan finds."""
     # jumps only count strictly inside: the window is open at a, and a jump
     # exactly at b adds no variation within (a, b]
-    inner = [(x, s) for x, s in jumps if window.a < x < window.b]
-    breaks = sign_partition(f, lo, hi, [to_panel(x) for x, _ in inner])
+    inner = [(x, s) for x, s in fn.jumps if window.a < x < window.b]
+    if hasattr(fn, "critical_points"):
+        # to_panel is increasing, so f keeps one sign between the images
+        pts = [*fn.critical_points(window.a, window.b), *(x for x, _ in inner)]
+        images = {float(to_panel(x)) for x in pts}
+        breaks = (lo, *sorted(p for p in images if lo < p < hi), hi)
+    else:
+        breaks = sign_partition(f, lo, hi, [to_panel(x) for x, _ in inner])
     int_pos, int_abs = signed_variation(f, breaks)
     jump_pos = float(sum(max(s, 0.0) for _, s in inner))
     return _finish(jump_pos, float(sum(abs(s) for _, s in inner)), int_pos, int_abs)
@@ -146,7 +157,7 @@ def theoretical_index(fn, window: Window) -> IndexBreakdown:
     if hasattr(fn, "critical_points"):
         return _telescoped(fn, a, b, fn.jumps)
     lo = max(a, s_lo + EDGE_MARGIN)
-    return _integrated(fn.deriv, lo, b, window, fn.jumps, float)
+    return _integrated(fn, fn.deriv, lo, b, window, float)
 
 
 def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
@@ -156,11 +167,17 @@ def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
     integrals of H, jumps map to the images tau_k = cdf(x_k) with their
     sizes unchanged, and the distribution cancels from the ratio. Must
     agree with :func:`theoretical_index` for any windowed distribution.
-    Always runs the quadrature, which makes it an independent check on
-    the closed form.
+
+    The breakpoints are the images cdf(x) of the jumps inside the window
+    and, when the function declares ``critical_points``, of those points:
+    q > 0, so H changes sign only where h' does. A function without them
+    has H scanned for its sign changes. Every value is then a quadrature
+    of H, never a difference of h values, so the route still checks the
+    closed form's telescoping and the distribution-freeness of the index
+    independently; only the split points are shared with it.
     """
     dist = hf.dist
-    return _integrated(hf, 0.0, 1.0, dist.window, hf.tf.jumps, dist.cdf)
+    return _integrated(hf.tf, hf, 0.0, 1.0, dist.window, dist.cdf)
 
 
 def emit_h_profile(hf: HFunction, grid_n: int) -> np.ndarray:

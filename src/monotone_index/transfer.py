@@ -261,7 +261,9 @@ class HFunction:
         if ((u <= 0.0) | (u > 1.0)).any():
             raise ValueError("u must lie in (0, 1]")
         x = self.dist.quantile(u)
-        out = self.tf.deriv(x) / self.dist.density_quantile(u)
+        # an overflow stays inf, for the caller's finiteness check to report
+        with np.errstate(over="ignore"):
+            out = self.tf.deriv(x) / self.dist.density_quantile(u)
         return _demote(out, scalar)
 
     @property

@@ -71,6 +71,14 @@ class TestIntegrate:
         with pytest.raises(NonConvergenceError):
             integrate(lambda x: np.abs(x) ** -0.99, 0.0, 1.0)
 
+    def test_nonfinite_integrand_raises_at_once(self):
+        # inf on the last tenth of [0, 1], as H is where h' overflows;
+        # refinement could never converge there, so the first call raises
+        f, sizes = counted(lambda x: np.where(x > 0.9, np.inf, x))
+        with pytest.raises(ValueError, match="finite"):
+            integrate(f, 0.0, 1.0)
+        assert len(sizes) == 1
+
     def test_constant_integrand_broadcasts(self):
         np.testing.assert_allclose(integrate(lambda x: 2.0, 0.0, 3.0), 6.0, rtol=1e-13)
 

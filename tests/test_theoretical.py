@@ -21,6 +21,7 @@ from monotone_index import (
     theoretical_index,
     theoretical_index_via_H,
 )
+from monotone_index.numerics import sign_partition
 
 # stationary points of the default transfer function, frozen from a
 # bisection oracle; h'(r1) = h'(r2) = 0 so evaluation error there is
@@ -182,6 +183,26 @@ class TestViaH:
             vals.append(theoretical_index_via_H(HFunction(tf=tf, dist=dist)).value)
         np.testing.assert_allclose(vals[0], vals[1], atol=1e-9)
 
+    def test_overflowing_window_raises_value_error(self):
+        # h' overflows long before x = 8000; the quadrature must report the
+        # non-finite H at once rather than refine until its work cap
+        dist = WindowedDistribution(LomaxParams(1.5, 1.0), Window(0.0, 8000.0))
+        with pytest.raises(ValueError, match="finite"):
+            theoretical_index_via_H(HFunction(tf=TransferFunction(), dist=dist))
+
+    # the switch point at or next to a window edge, where Q(u) can round
+    # onto it for u near 0 or 1 and h' is undefined there
+    @pytest.mark.parametrize("tf, window, alpha", [
+        (TransferFunction(0.266, 0.1, 27.0, 9.32), Window(26.0, 27.0), 5.0),
+        (TransferFunction(x0=1.6868, rho=0.5), Window(1.6868, 1.6892), 5.0),
+        (TransferFunction(x0=0.10001, rho=0.5), Window(0.1, 1.1), 1.5),
+        (TransferFunction(x0=1.5, rho=0.5), Window(1.5, 1.501), 5.0),
+    ])
+    def test_switch_point_at_window_edge(self, tf, window, alpha):
+        dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
+        via = theoretical_index_via_H(HFunction(tf=tf, dist=dist))
+        assert abs(via.value - theoretical_index(tf, window).value) <= 1e-9
+
     def test_nonnegative_h_gives_one(self):
         dist = WindowedDistribution(LomaxParams(1.5, 1.0), Window(8.0, 12.0))
         via = theoretical_index_via_H(HFunction(tf=TransferFunction(), dist=dist))
@@ -293,16 +314,36 @@ class TestClosedForm:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(transfer_cases(a_max=2.0, width_max=20.0))
     def test_matches_quantile_route(self, case):
+        # switch points at or next to a window edge are drawn too: the
+        # exclusion of those cases was lifted once the route stopped
+        # scanning H next to the edges, where Q(u) rounds onto them
         tf, window = case
-        # Q(u) rounds onto a window edge for u near 0 or 1, where h' is
-        # undefined when the switch point sits at or next to that edge
-        width = window.b - window.a
-        assume(min(abs(tf.x0 - window.a), abs(tf.x0 - window.b)) > 1e-3 * width)
         closed = theoretical_index(tf, window).value
         for alpha in (1.5, 5.0):
             dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
             via = theoretical_index_via_H(HFunction(tf=tf, dist=dist)).value
             assert abs(via - closed) <= 1e-6
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(transfer_cases(a_max=2.0, width_max=20.0))
+    def test_scanned_roots_of_h_are_critical_images(self, case):
+        """The quantile route splits at cdf(critical point) instead of
+        scanning H; a scan finds every sign change of H at one of them."""
+        tf, window = case
+        # the scan evaluates H next to the edges, where Q(u) rounds onto
+        # a switch point that sits at or next to them
+        width = window.b - window.a
+        assume(min(abs(tf.x0 - window.a), abs(tf.x0 - window.b)) > 1e-3 * width)
+        for alpha in (1.5, 5.0):
+            dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
+            hf = HFunction(tf=tf, dist=dist)
+            images = np.array(
+                [dist.cdf(x) for x in tf.critical_points(window.a, window.b)]
+            )
+            jumps = hf.singular_points
+            breaks = sign_partition(hf, 0.0, 1.0, jumps)
+            for root in set(breaks[1:-1]) - set(jumps):
+                assert images.size and np.abs(images - root).min() <= 1e-9
 
 
 def scaled(tf, c):
