@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from array import array
 
@@ -120,15 +119,6 @@ def _precision_from(args) -> int:
 
 
 def _threads_from(args) -> int | None:
-    env = os.environ.get("MONOTONE_INDEX_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise UsageError(f"MONOTONE_INDEX_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise UsageError("MONOTONE_INDEX_THREADS must be >= 1")
-        return value
     if args.threads is not None and args.threads < 1:
         raise UsageError("--threads must be >= 1")
     return args.threads
@@ -317,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, default=20, help=reps_help)
         p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads; MONOTONE_INDEX_THREADS overrides")
+                       help="worker threads (default: one per CPU, up to --reps)")
         _add_io_flags(p)
         p.set_defaults(func=_cmd_simulate)
 

@@ -11,18 +11,19 @@ the quantile domain of an input distribution. The two agree exactly in
 theory; the quantile route exists to demonstrate that the index does not
 depend on the input distribution at all.
 
-The direct route picks its method from what the function declares. A
-function with ``critical_points(lo, hi)`` (the points where its
-derivative may change sign) and ``log_eval(x)`` has the closed form: on
-each piece between critical points and jumps it is monotone, so its
-variation there is the difference of its end values. Any other function
-is known only through ``deriv``, and its derivative is integrated by
-adaptive quadrature between scanned sign changes, under the fixed scan
-size and tolerances of :mod:`.numerics`. The quantile route always
-integrates. It splits (0, 1] at the cdf images of the declared jumps and
-critical points where the function declares them, since H has the sign
-of h'; otherwise it scans H for its sign changes as the direct route
-scans h'.
+Every route cuts the window at the same points, found in x: the jumps
+inside it, plus the function's ``critical_points(lo, hi)`` (where its
+derivative may change sign) if it declares them, or else the sign
+changes of ``deriv`` that a scan finds. Between cuts the function is
+monotone. A function with ``log_eval(x)`` then has the closed form: its
+variation on each piece is the difference of its end values. Any other
+function has its derivative integrated between the cuts by adaptive
+quadrature, under the fixed scan size and tolerances of
+:mod:`.numerics`. So ``critical_points`` replaces the scan and
+``log_eval`` the quadrature, each independently of the other. The
+quantile route always integrates: it maps the cuts through the cdf,
+which is increasing, and H has the sign of h' between the images. The
+jumps are counted once, from the same list, on every route.
 """
 
 from __future__ import annotations
@@ -67,11 +68,12 @@ class IndexBreakdown:
     value: float
 
 
-def _finish(
-    jump_pos: float, jump_abs: float, int_pos: float, int_abs: float, scale: float = 1.0
-) -> IndexBreakdown:
-    """Index from the four sums, which are in units of ``scale``; the
-    breakdown reports them in the function's own units."""
+def _finish(jumps, int_pos: float, int_abs: float, scale: float = 1.0) -> IndexBreakdown:
+    """Index from the signed sizes of the counted jumps and the two
+    variation sums, all in units of ``scale``; the breakdown reports them
+    in the function's own units."""
+    jump_pos = sum(max(s, 0.0) for s in jumps)
+    jump_abs = sum(abs(s) for s in jumps)
     den = jump_abs + int_abs
     if not (np.isfinite(den) and den > 0.0):
         raise DegenerateFunctionError(
@@ -83,81 +85,82 @@ def _finish(
     return IndexBreakdown(*parts, float(value))
 
 
-def _integrated(fn, f, lo, hi, window: Window, to_panel) -> IndexBreakdown:
-    """The index from quadrature of ``f`` (h' or H) over (lo, hi], split at
-    the images ``to_panel(x)`` of fn's jumps inside the window and of its
-    declared critical points, or, when fn declares none, at the sign
-    changes of f that a scan finds."""
-    # jumps only count strictly inside: the window is open at a, and a jump
-    # exactly at b adds no variation within (a, b]
-    inner = [(x, s) for x, s in fn.jumps if window.a < x < window.b]
-    if hasattr(fn, "critical_points"):
-        # to_panel is increasing, so f keeps one sign between the images
-        pts = [*fn.critical_points(window.a, window.b), *(x for x, _ in inner)]
-        images = {float(to_panel(x)) for x in pts}
-        breaks = (lo, *sorted(p for p in images if lo < p < hi), hi)
-    else:
-        breaks = sign_partition(f, lo, hi, [to_panel(x) for x, _ in inner])
-    int_pos, int_abs = signed_variation(f, breaks)
-    jump_pos = float(sum(max(s, 0.0) for _, s in inner))
-    return _finish(jump_pos, float(sum(abs(s) for _, s in inner)), int_pos, int_abs)
+def _breakpoints(fn, a: float, b: float) -> tuple[list[float], dict[float, float], float]:
+    """Where (a, b] is cut, in x, and which jumps it holds.
 
-
-def _telescoped(fn, a: float, b: float, jumps) -> IndexBreakdown:
-    """The index from values of fn at its critical points and jumps.
-
-    Between consecutive breakpoints p < q fn is monotone, so its variation
-    on (p, q] is |fn(q) - fn(p+)|: the left-continuous value at q against
-    the right limit at p, which is the value plus the jump declared at p.
-    The window is open at a, so a jump at a enters only as that right
-    limit. Everything is divided by the largest value, taken in log space,
-    before differencing, which keeps windows where fn overflows finite.
+    Returns the cuts strictly inside (a, b), ascending, between which fn is
+    continuous and monotone: the jumps there, plus fn.critical_points(a, b)
+    if fn declares it, or else the sign changes of fn.deriv that a scan
+    finds above EDGE_MARGIN from the lower edge of fn's support. Also
+    returns the sizes of those jumps by location, the only ones counted,
+    and the size of a jump at a (0.0 if none): the window is open at a, so
+    that one only sets the right limit there. A jump at b adds no
+    variation within (a, b].
     """
-    declared = {x: s for x, s in jumps if a <= x < b}
-    breaks = sorted({*fn.critical_points(a, b), *(x for x in declared if x > a)})
-    pts = np.array([a, *breaks, b])
+    declared = fn.jumps
+    jumps = {x: s for x, s in declared if a < x < b}
+    edge = next((s for x, s in declared if x == a), 0.0)
+    if hasattr(fn, "critical_points"):
+        found = fn.critical_points(a, b)
+    else:
+        # a jump below lo is still a cut, for the quantile route to split at
+        lo = max(a, fn.support[0] + EDGE_MARGIN)
+        found = sign_partition(fn.deriv, lo, b, [x for x in jumps if x > lo])[1:-1]
+    return sorted({*found, *jumps}), jumps, edge
+
+
+def _telescoped(fn, a: float, b: float, cuts, jumps, edge: float) -> IndexBreakdown:
+    """The index from values of fn at the window edges and cuts.
+
+    Between consecutive points p < q fn is monotone, so its variation on
+    (p, q] is |fn(q) - fn(p+)|: the left-continuous value at q against the
+    right limit at p, which is the value plus the jump at p. Everything is
+    divided by the largest value, taken in log space, before differencing,
+    which keeps windows where fn overflows finite.
+    """
+    pts = np.array([a, *cuts, b])
     logs = fn.log_eval(pts)
     log_scale = float(logs.max())
     vals = np.exp(logs - log_scale)
-    sizes = np.array([declared.get(x, 0.0) for x in pts[:-1]])
+    sizes = np.array([edge, *(jumps.get(x, 0.0) for x in cuts)])
     with np.errstate(divide="ignore"):
         steps = np.sign(sizes) * np.exp(np.log(np.abs(sizes)) - log_scale)
     d = vals[1:] - (vals[:-1] + steps)
     with np.errstate(over="ignore"):
         scale = float(np.exp(log_scale))
-    return _finish(
-        float(np.maximum(steps[1:], 0.0).sum()),
-        float(np.abs(steps[1:]).sum()),
-        float(d[d > 0.0].sum()),
-        float(np.abs(d).sum()),
-        scale,
-    )
+    # steps past a are the counted jumps, and 0 at the other cuts
+    return _finish(steps[1:].tolist(), float(d[d > 0.0].sum()), float(np.abs(d).sum()), scale)
 
 
 def theoretical_index(fn, window: Window) -> IndexBreakdown:
     """Index of increase of ``fn`` over ``window``.
 
-    ``fn`` exposes a declared ``jumps`` list of (location, size) and a
-    ``support`` interval, plus one of two ways to its variation:
+    ``fn`` exposes a declared ``jumps`` list of (location, size), a
+    ``support`` interval and ``deriv(x)``, taking and returning numpy
+    arrays. Two optional declarations each replace a numerical step:
 
     - ``critical_points(lo, hi)``, the points of (lo, hi) where the
-      derivative may change sign, together with ``log_eval(x)``, the log
-      of the (positive) function value. Then the variation on each piece
-      between critical points and jumps is a difference of two values,
-      and no quadrature runs. TransferFunction takes this path.
-    - ``deriv(x)`` alone, taking and returning numpy arrays. The window
-      is split at the jumps, then at the sign changes a scan finds, and
-      the derivative is integrated by adaptive quadrature on each piece.
-      PiecewiseFunction takes this path.
+      derivative may change sign, replaces the scan of ``deriv`` for its
+      sign changes;
+    - ``log_eval(x)``, the log of the (positive) function value, replaces
+      the quadrature: the variation on each piece between cuts is then a
+      difference of two values.
+
+    TransferFunction declares both, so neither a scan nor a quadrature
+    runs for it, and it needs no ``deriv`` here. PiecewiseFunction
+    declares neither: its window is split at the jumps and at the sign
+    changes a scan finds, and its derivative is integrated on each piece.
     """
     a, b = float(window.a), float(window.b)
     s_lo, s_hi = fn.support
     if a < s_lo or b > s_hi:
         raise ValueError(f"window ({a}, {b}] outside the domain ({s_lo}, {s_hi}]")
-    if hasattr(fn, "critical_points"):
-        return _telescoped(fn, a, b, fn.jumps)
+    cuts, jumps, edge = _breakpoints(fn, a, b)
+    if hasattr(fn, "log_eval"):
+        return _telescoped(fn, a, b, cuts, jumps, edge)
     lo = max(a, s_lo + EDGE_MARGIN)
-    return _integrated(fn, fn.deriv, lo, b, window, float)
+    int_pos, int_abs = signed_variation(fn.deriv, [lo, *(x for x in cuts if x > lo), b])
+    return _finish(jumps.values(), int_pos, int_abs)
 
 
 def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
@@ -168,16 +171,21 @@ def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
     sizes unchanged, and the distribution cancels from the ratio. Must
     agree with :func:`theoretical_index` for any windowed distribution.
 
-    The breakpoints are the images cdf(x) of the jumps inside the window
-    and, when the function declares ``critical_points``, of those points:
-    q > 0, so H changes sign only where h' does. A function without them
-    has H scanned for its sign changes. Every value is then a quadrature
-    of H, never a difference of h values, so the route still checks the
-    closed form's telescoping and the distribution-freeness of the index
-    independently; only the split points are shared with it.
+    The window is cut in x, at the same points as on the direct route,
+    and the cuts are mapped through the cdf: it is increasing and q > 0,
+    so H keeps one sign between the images. A function that declares no
+    ``critical_points`` is scanned in x for the sign changes of its
+    ``deriv``, and needs a ``support`` for that. Every value is then a
+    quadrature of H, never a difference of h values, so the route still
+    checks the closed form's telescoping and the distribution-freeness
+    of the index independently; only the cuts are shared with it.
     """
     dist = hf.dist
-    return _integrated(hf.tf, hf, 0.0, 1.0, dist.window, dist.cdf)
+    cuts, jumps, _ = _breakpoints(hf.tf, dist.window.a, dist.window.b)
+    images = {float(dist.cdf(x)) for x in cuts}
+    breaks = [0.0, *sorted(u for u in images if 0.0 < u < 1.0), 1.0]
+    int_pos, int_abs = signed_variation(hf, breaks)
+    return _finish(jumps.values(), int_pos, int_abs)
 
 
 def emit_h_profile(hf: HFunction, grid_n: int) -> np.ndarray:

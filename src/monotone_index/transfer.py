@@ -250,7 +250,9 @@ class HFunction:
 
     ``tf`` is any function object with a ``jumps`` list of (location,
     size) and a ``deriv`` that takes a numpy array, such as
-    TransferFunction or PiecewiseFunction.
+    TransferFunction or PiecewiseFunction. theoretical_index_via_H cuts
+    the window where the direct route does, in x, so an object without
+    ``critical_points`` needs a ``support`` there as well.
     """
 
     tf: Any
@@ -265,11 +267,3 @@ class HFunction:
         with np.errstate(over="ignore"):
             out = self.tf.deriv(x) / self.dist.density_quantile(u)
         return _demote(out, scalar)
-
-    @property
-    def singular_points(self) -> tuple[float, ...]:
-        """Images tau_k of jump points that fall strictly inside the window."""
-        a, b = self.dist.window.a, self.dist.window.b
-        return tuple(
-            self.dist.cdf(x) for x, _ in self.tf.jumps if a < x < b
-        )

@@ -230,11 +230,8 @@ class TestSimulate:
         _, multi, _ = run(capsys, *self.ARGS, "--threads", "4")
         assert base == multi
 
-    def test_env_thread_override_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("MONOTONE_INDEX_THREADS", "2")
-        assert run(capsys, *self.ARGS)[0] == 0
-        monkeypatch.setenv("MONOTONE_INDEX_THREADS", "zero")
-        assert run(capsys, *self.ARGS)[0] == 2
+    def test_threads_below_one_rejected(self, capsys):
+        assert run(capsys, *self.ARGS, "--threads", "0")[0] == 2
 
     def test_bad_grid(self, capsys):
         # both are rejected while the flags are being assembled, before

@@ -191,17 +191,23 @@ class TestViaH:
             theoretical_index_via_H(HFunction(tf=TransferFunction(), dist=dist))
 
     # the switch point at or next to a window edge, where Q(u) can round
-    # onto it for u near 0 or 1 and h' is undefined there
+    # onto it for u near 0 or 1 and h' is undefined there, and one inside
+    # a narrow window; the piecewise form has its cuts scanned in x, and a
+    # scan of H in u instead would evaluate it on the jump
     @pytest.mark.parametrize("tf, window, alpha", [
         (TransferFunction(0.266, 0.1, 27.0, 9.32), Window(26.0, 27.0), 5.0),
         (TransferFunction(x0=1.6868, rho=0.5), Window(1.6868, 1.6892), 5.0),
         (TransferFunction(x0=0.10001, rho=0.5), Window(0.1, 1.1), 1.5),
         (TransferFunction(x0=1.5, rho=0.5), Window(1.5, 1.501), 5.0),
+        (TransferFunction(1.0, 1.0, 0.6858588193171131, 1.0),
+         Window(0.685134105544604, 0.686134105544604), 1.5),
     ])
     def test_switch_point_at_window_edge(self, tf, window, alpha):
         dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
-        via = theoretical_index_via_H(HFunction(tf=tf, dist=dist))
-        assert abs(via.value - theoretical_index(tf, window).value) <= 1e-9
+        closed = theoretical_index(tf, window).value
+        for fn in (tf, tf.as_piecewise()):
+            via = theoretical_index_via_H(HFunction(tf=fn, dist=dist))
+            assert abs(via.value - closed) <= 1e-9
 
     def test_nonnegative_h_gives_one(self):
         dist = WindowedDistribution(LomaxParams(1.5, 1.0), Window(8.0, 12.0))
@@ -258,8 +264,10 @@ def transfer_cases(draw, a_max=50.0, width_max=1e3):
     The switch point lands at either window edge, inside the window or
     outside it; inside, it keeps 1e-6 of the width from the edges, since
     the quadrature fallback cannot split a panel only a few ulps wide.
-    It also stays above 1e-6, since the fallback integrates from
-    EDGE_MARGIN = 1e-12 and cannot place a jump below that.
+    It is also drawn from [1e-300, 1e-6] on a log scale: the exclusion
+    of switch points below 1e-6 is lifted, since the fallback now counts
+    a jump below EDGE_MARGIN = 1e-12, where its integral starts, instead
+    of raising.
     """
     gamma = draw(st.floats(0.01, 1.0))
     delta = draw(st.floats(0.1, 5.0))
@@ -270,8 +278,9 @@ def transfer_cases(draw, a_max=50.0, width_max=1e3):
         st.sampled_from([0.0, 1.0]),
         st.floats(-0.5, 1.5).filter(lambda t: min(abs(t), abs(t - 1.0)) > 1e-6),
     ))
-    x0 = a + t * width
-    assume(x0 > 1e-6)
+    tiny = st.floats(-300.0, -6.0).map(lambda e: 10.0 ** e)
+    x0 = draw(st.one_of(st.just(a + t * width), tiny))
+    assume(x0 > 0.0)
     tf = TransferFunction(gamma, delta, x0, rho)
     window = Window(a, a + width)
     # the integrating routes see h only through h' in floating point, so
@@ -340,7 +349,7 @@ class TestClosedForm:
             images = np.array(
                 [dist.cdf(x) for x in tf.critical_points(window.a, window.b)]
             )
-            jumps = hf.singular_points
+            jumps = [dist.cdf(x) for x, _ in tf.jumps if window.a < x < window.b]
             breaks = sign_partition(hf, 0.0, 1.0, jumps)
             for root in set(breaks[1:-1]) - set(jumps):
                 assert images.size and np.abs(images - root).min() <= 1e-9

@@ -256,13 +256,6 @@ class TestHFunction:
         with pytest.raises(ValueError):
             hf(1.0 + 1e-12)
 
-    def test_singular_preimages(self):
-        dist = WindowedDistribution(LomaxParams(1.5, 1.0), Window(8.0, 12.0))
-        hf = HFunction(tf=TF_UP, dist=dist)
-        (tau,) = hf.singular_points
-        np.testing.assert_allclose(tau, dist.cdf(10.0), rtol=1e-15)
-        assert HFunction(tf=TF0, dist=dist).singular_points == ()
-
     def test_singularity_raises_when_quantile_lands_on_jump(self):
         # quantile(1) maps exactly onto the window edge, here placed at x0
         dist = WindowedDistribution(LomaxParams(1.5, 1.0), Window(8.0, 10.0))
