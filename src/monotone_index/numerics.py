@@ -71,7 +71,9 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     from one call of f on all their nodes."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    xs = (c[:, None] + h[:, None] * _NODES).ravel()
+    # a node within half an ulp of an end would round onto it
+    xs = np.clip(c[:, None] + h[:, None] * _NODES,
+                 np.nextafter(a, b)[:, None], np.nextafter(b, a)[:, None]).ravel()
     ys = _eval_nodes(f, xs).reshape(-1, 15)
     if not np.isfinite(ys).all():
         raise ValueError("f must be finite at every quadrature node")
@@ -91,12 +93,14 @@ def integrate(f: Callable, a: float, b: float) -> float:
     the tolerance, if every panel is frozen, or once MAX_PANELS panel
     evaluations are spent, NonConvergenceError is raised. A value of f
     that is not finite at any node raises ValueError at once. Endpoints
-    are never evaluated.
+    are never evaluated, so a panel with no float inside integrates to 0.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("bounds must be finite")
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
+    if np.nextafter(a, b) == b:
+        return 0.0  # no node fits strictly inside
 
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     est, err = _gk15(f, lo, hi)
@@ -167,6 +171,10 @@ def find_sign_changes(f: Callable, a: float, b: float, grid_n: int = SCAN_N) -> 
     margin = (b - a) * 1e-12
     xs[0] = max(a + margin, np.nextafter(a, b))
     xs[-1] = min(b - margin, np.nextafter(b, a))
+    if xs[0] > xs[-1]:
+        return []  # no float lies strictly inside (a, b)
+    # on a panel a few ulps wide, linspace can round an interior point onto a or b
+    xs[1:-1] = np.clip(xs[1:-1], xs[0], xs[-1])
     ys = _eval_nodes(f, xs)
     if not np.isfinite(ys).all():
         raise ValueError("f must be finite on the scan grid")

@@ -1,4 +1,4 @@
-"""Exact index of increase from derivative sign structure and jump sizes.
+"""Exact index of increase, from values or derivatives between monotone cuts.
 
 The index over a window (a, b] is
 
@@ -15,15 +15,13 @@ Every route cuts the window at the same points, found in x: the jumps
 inside it, plus the function's ``critical_points(lo, hi)`` (where its
 derivative may change sign) if it declares them, or else the sign
 changes of ``deriv`` that a scan finds. Between cuts the function is
-monotone. A function with ``log_eval(x)`` then has the closed form: its
-variation on each piece is the difference of its end values. Any other
-function has its derivative integrated between the cuts by adaptive
-quadrature, under the fixed scan size and tolerances of
-:mod:`.numerics`. So ``critical_points`` replaces the scan and
-``log_eval`` the quadrature, each independently of the other. The
-quantile route always integrates: it maps the cuts through the cdf,
-which is increasing, and H has the sign of h' between the images. The
-jumps are counted once, from the same list, on every route.
+monotone, so wherever it has values (``log_eval`` or ``eval``) every
+term is a difference of two of them: a piece's variation of its end
+values, a jump of the one-sided limits. Only a function known solely
+through ``deriv`` has it integrated between the cuts, under the fixed
+tolerances of :mod:`.numerics`. The quantile route always integrates:
+it maps the cuts through the cdf, which is increasing, and H has the
+sign of h' between the images.
 """
 
 from __future__ import annotations
@@ -85,79 +83,81 @@ def _finish(jumps, int_pos: float, int_abs: float, scale: float = 1.0) -> IndexB
     return IndexBreakdown(*parts, float(value))
 
 
-def _breakpoints(fn, a: float, b: float) -> tuple[list[float], dict[float, float], float]:
+def _breakpoints(fn, a: float, b: float) -> tuple[list[float], dict[float, float]]:
     """Where (a, b] is cut, in x, and which jumps it holds.
 
     Returns the cuts strictly inside (a, b), ascending, between which fn is
     continuous and monotone: the jumps there, plus fn.critical_points(a, b)
     if fn declares it, or else the sign changes of fn.deriv that a scan
     finds above EDGE_MARGIN from the lower edge of fn's support. Also
-    returns the sizes of those jumps by location, the only ones counted,
-    and the size of a jump at a (0.0 if none): the window is open at a, so
-    that one only sets the right limit there. A jump at b adds no
+    returns the sizes of those jumps by location, the only ones counted. A
+    jump at a only sets the right limit there, and one at b adds no
     variation within (a, b].
     """
-    declared = fn.jumps
-    jumps = {x: s for x, s in declared if a < x < b}
-    edge = next((s for x, s in declared if x == a), 0.0)
+    jumps = {x: s for x, s in fn.jumps if a < x < b}
     if hasattr(fn, "critical_points"):
         found = fn.critical_points(a, b)
     else:
         # a jump below lo is still a cut, for the quantile route to split at
         lo = max(a, fn.support[0] + EDGE_MARGIN)
         found = sign_partition(fn.deriv, lo, b, [x for x in jumps if x > lo])[1:-1]
-    return sorted({*found, *jumps}), jumps, edge
+    return sorted({*found, *jumps}), jumps
 
 
-def _telescoped(fn, a: float, b: float, cuts, jumps, edge: float) -> IndexBreakdown:
+def _telescoped(fn, a: float, b: float, cuts, jumps) -> IndexBreakdown:
     """The index from values of fn at the window edges and cuts.
 
     Between consecutive points p < q fn is monotone, so its variation on
-    (p, q] is |fn(q) - fn(p+)|: the left-continuous value at q against the
-    right limit at p, which is the value plus the jump at p. Everything is
-    divided by the largest value, taken in log space, before differencing,
-    which keeps windows where fn overflows finite.
+    (p, q] is |fn(q) - fn(p+)|, with the right limit fn(p+) taken one
+    float step above p; a jump is fn(p+) - fn(p) at a declared jump p.
+    Values come from log_eval, divided by the largest in log space so that
+    windows where fn overflows stay finite, or else from eval, divided by
+    the largest |value|.
     """
-    pts = np.array([a, *cuts, b])
-    logs = fn.log_eval(pts)
-    log_scale = float(logs.max())
-    vals = np.exp(logs - log_scale)
-    sizes = np.array([edge, *(jumps.get(x, 0.0) for x in cuts)])
-    with np.errstate(divide="ignore"):
-        steps = np.sign(sizes) * np.exp(np.log(np.abs(sizes)) - log_scale)
-    d = vals[1:] - (vals[:-1] + steps)
-    with np.errstate(over="ignore"):
-        scale = float(np.exp(log_scale))
-    # steps past a are the counted jumps, and 0 at the other cuts
-    return _finish(steps[1:].tolist(), float(d[d > 0.0].sum()), float(np.abs(d).sum()), scale)
+    n = len(cuts) + 1
+    pts = np.concatenate([[*cuts, b], np.nextafter([a, *cuts], b)])
+    if hasattr(fn, "log_eval"):
+        logs = fn.log_eval(pts)
+        log_scale = float(logs.max())
+        with np.errstate(over="ignore"):
+            vals, scale = np.exp(logs - log_scale), float(np.exp(log_scale))
+    else:
+        vals = fn.eval(pts)
+        scale = float(np.abs(vals).max())
+        if not np.isfinite(scale):
+            raise ValueError(f"fn must be finite in the window, got {scale!r}")
+        vals = vals / (scale or 1.0)  # all zeros stay 0, for _finish to reject
+    left, right = vals[:n], vals[n:]
+    d = left - right
+    steps = [r - v for x, v, r in zip(cuts, left, right[1:]) if x in jumps]
+    return _finish(steps, float(d[d > 0.0].sum()), float(np.abs(d).sum()), scale)
 
 
 def theoretical_index(fn, window: Window) -> IndexBreakdown:
     """Index of increase of ``fn`` over ``window``.
 
-    ``fn`` exposes a declared ``jumps`` list of (location, size), a
-    ``support`` interval and ``deriv(x)``, taking and returning numpy
-    arrays. Two optional declarations each replace a numerical step:
+    ``fn`` exposes a declared ``jumps`` list of (location, size) and a
+    ``support`` interval, and takes and returns numpy arrays in:
 
     - ``critical_points(lo, hi)``, the points of (lo, hi) where the
-      derivative may change sign, replaces the scan of ``deriv`` for its
+      derivative may change sign, or else ``deriv(x)``, scanned for its
       sign changes;
-    - ``log_eval(x)``, the log of the (positive) function value, replaces
-      the quadrature: the variation on each piece between cuts is then a
-      difference of two values.
+    - ``log_eval(x)``, the log of the (positive) value, or else
+      ``eval(x)``, left-continuous: the index is then telescoped from
+      values at the cuts and one float step above them. An object with
+      neither has ``deriv`` integrated between the cuts instead.
 
-    TransferFunction declares both, so neither a scan nor a quadrature
-    runs for it, and it needs no ``deriv`` here. PiecewiseFunction
-    declares neither: its window is split at the jumps and at the sign
-    changes a scan finds, and its derivative is integrated on each piece.
+    TransferFunction declares ``critical_points`` and ``log_eval``, so
+    nothing is scanned or integrated for it. PiecewiseFunction is scanned
+    for its cuts and then telescoped through ``eval``.
     """
     a, b = float(window.a), float(window.b)
     s_lo, s_hi = fn.support
     if a < s_lo or b > s_hi:
         raise ValueError(f"window ({a}, {b}] outside the domain ({s_lo}, {s_hi}]")
-    cuts, jumps, edge = _breakpoints(fn, a, b)
-    if hasattr(fn, "log_eval"):
-        return _telescoped(fn, a, b, cuts, jumps, edge)
+    cuts, jumps = _breakpoints(fn, a, b)
+    if hasattr(fn, "log_eval") or hasattr(fn, "eval"):
+        return _telescoped(fn, a, b, cuts, jumps)
     lo = max(a, s_lo + EDGE_MARGIN)
     int_pos, int_abs = signed_variation(fn.deriv, [lo, *(x for x in cuts if x > lo), b])
     return _finish(jumps.values(), int_pos, int_abs)
@@ -181,7 +181,7 @@ def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
     of the index independently; only the cuts are shared with it.
     """
     dist = hf.dist
-    cuts, jumps, _ = _breakpoints(hf.tf, dist.window.a, dist.window.b)
+    cuts, jumps = _breakpoints(hf.tf, dist.window.a, dist.window.b)
     images = {float(dist.cdf(x)) for x in cuts}
     breaks = [0.0, *sorted(u for u in images if 0.0 < u < 1.0), 1.0]
     int_pos, int_abs = signed_variation(hf, breaks)

@@ -4,7 +4,7 @@ the quantile-domain derivative ratio used by the distribution-free index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -29,6 +29,8 @@ class TransferFunction:
     delta: float = 1.0
     x0: float = 10.0
     rho: float = 0.0
+    # declared jump points as (location, size); empty when rho = 0
+    jumps: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
@@ -39,6 +41,8 @@ class TransferFunction:
             raise ValueError(f"x0 must be finite and > 0, got {self.x0}")
         if not (self.rho > -1.0 and np.isfinite(self.rho)):
             raise ValueError(f"rho must be finite and > -1, got {self.rho}")
+        jumps = () if self.rho == 0.0 else ((self.x0, self.jump_size()),)
+        object.__setattr__(self, "jumps", jumps)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -131,13 +135,6 @@ class TransferFunction:
         """Jump h(x0+) - h(x0) = rho * (unscaled branch at x0)."""
         return self.rho * self.eval(self.x0)
 
-    @property
-    def jumps(self) -> tuple[tuple[float, float], ...]:
-        """Declared jump points as (location, size); empty when rho = 0."""
-        if self.rho == 0.0:
-            return ()
-        return ((self.x0, self.jump_size()),)
-
     def as_piecewise(self) -> "PiecewiseFunction":
         """The same function expressed through the generic piecewise API."""
         lower = TransferFunction(self.gamma, self.delta, self.x0, 0.0)
@@ -146,17 +143,19 @@ class TransferFunction:
                 (Segment(0.0, np.inf, lower.eval, lower.deriv),)
             )
         scale = 1.0 + self.rho
+        # an overflow stays inf, for the caller's finiteness check to report
+        quiet = np.errstate(over="ignore")
         return PiecewiseFunction(
             (
                 Segment(0.0, self.x0, lower.eval, lower.deriv),
                 Segment(
                     self.x0,
                     np.inf,
-                    lambda x: scale * lower.eval(x),
-                    lambda x: scale * lower.deriv(x),
+                    quiet(lambda x: scale * lower.eval(x)),
+                    quiet(lambda x: scale * lower.deriv(x)),
                 ),
             ),
-            jumps=((self.x0, self.jump_size()),),
+            jumps=self.jumps,
         )
 
 

@@ -84,6 +84,13 @@ class TestTheoretical:
         assert code == 0
         np.testing.assert_allclose(float(rows(out)[1][4]), 1.0, atol=1e-6)
 
+    def test_overflowing_jump(self, capsys):
+        # h(x0) and the jump rho*h(x0) overflow a double; the index is 1
+        code, out, _ = run(capsys, "theoretical", "--window", "7000,8000",
+                           "--x0", "7500", "--rho", "0.5")
+        assert code == 0
+        assert float(rows(out)[1][4]) == 1.0
+
     def test_precision_controls_digits(self, capsys):
         _, wide, _ = run(capsys, "theoretical", "--window", "0,2", "--precision", "12")
         _, narrow, _ = run(capsys, "theoretical", "--window", "0,2", "--precision", "3")

@@ -216,3 +216,19 @@ class TestSignedVariation:
         want = (TF0.eval(10.0) - TF0.eval(8.0)) + 0.5 * (TF0.eval(12.0) - TF0.eval(10.0))
         np.testing.assert_allclose(pos, want, rtol=1e-10)
         np.testing.assert_allclose(total, want, rtol=1e-10)
+
+
+class TestPanelsFewUlpsWide:
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 300])
+    def test_ends_are_never_evaluated(self, ulps):
+        # a jump at either end leaves f undefined there, however close
+        a = 16.0
+        b = a + ulps * np.spacing(a)
+
+        def open_only(x):
+            assert ((x > a) & (x < b)).all()
+            return np.ones_like(x)
+
+        # no float lies strictly inside a panel one ulp wide
+        assert integrate(open_only, a, b) == pytest.approx(0.0 if ulps == 1 else b - a)
+        assert find_sign_changes(open_only, a, b, 1000) == []

@@ -21,7 +21,8 @@ from monotone_index import (
     theoretical_index,
     theoretical_index_via_H,
 )
-from monotone_index.numerics import sign_partition
+from monotone_index import theoretical
+from monotone_index.numerics import sign_partition, signed_variation
 
 # stationary points of the default transfer function, frozen from a
 # bisection oracle; h'(r1) = h'(r2) = 0 so evaluation error there is
@@ -262,22 +263,17 @@ def transfer_cases(draw, a_max=50.0, width_max=1e3):
     1e-3 <= width <= width_max.
 
     The switch point lands at either window edge, inside the window or
-    outside it; inside, it keeps 1e-6 of the width from the edges, since
-    the quadrature fallback cannot split a panel only a few ulps wide.
-    It is also drawn from [1e-300, 1e-6] on a log scale: the exclusion
-    of switch points below 1e-6 is lifted, since the fallback now counts
-    a jump below EDGE_MARGIN = 1e-12, where its integral starts, instead
-    of raising.
+    outside it, as close to an edge as a draw puts it: the scan and the
+    quadrature keep off the ends of a panel only a few ulps wide. It is
+    also drawn from [1e-300, 1e-6] on a log scale: the integrating route
+    counts a jump below EDGE_MARGIN = 1e-12, where its integral starts.
     """
     gamma = draw(st.floats(0.01, 1.0))
     delta = draw(st.floats(0.1, 5.0))
     rho = draw(st.floats(-0.95, 10.0, exclude_min=True))
     a = draw(st.one_of(st.just(0.0), st.floats(0.0, a_max)))
     width = 10.0 ** draw(st.floats(-3.0, np.log10(width_max)))
-    t = draw(st.one_of(
-        st.sampled_from([0.0, 1.0]),
-        st.floats(-0.5, 1.5).filter(lambda t: min(abs(t), abs(t - 1.0)) > 1e-6),
-    ))
+    t = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.5, 1.5)))
     tiny = st.floats(-300.0, -6.0).map(lambda e: 10.0 ** e)
     x0 = draw(st.one_of(st.just(a + t * width), tiny))
     assume(x0 > 0.0)
@@ -355,6 +351,76 @@ class TestClosedForm:
                 assert images.size and np.abs(images - root).min() <= 1e-9
 
 
+class TestValuesRoute:
+    """Every object with values is telescoped from them; only one known
+    solely through its derivative is integrated."""
+
+    @staticmethod
+    def _no_quadrature(*args):
+        raise AssertionError("signed_variation called")
+
+    def test_piecewise_function_is_telescoped(self, monkeypatch):
+        monkeypatch.setattr(theoretical, "signed_variation", self._no_quadrature)
+        for rho in (0.0, 0.5, -0.5):
+            tf = TransferFunction(rho=rho)
+            # on (10, 20] the jump sits at the open edge and sets only fn(a+)
+            for window in (*WINDOWS.values(), Window(10.0, 20.0)):
+                got = theoretical_index(tf.as_piecewise(), window).value
+                assert abs(got - theoretical_index(tf, window).value) <= 1e-15
+
+    def test_derivative_only_object_is_integrated(self, monkeypatch):
+        calls = []
+
+        def counted(f, breaks):
+            calls.append(breaks)
+            return signed_variation(f, breaks)
+
+        monkeypatch.setattr(theoretical, "signed_variation", counted)
+        tf = TransferFunction(rho=0.5)
+        got = theoretical_index(quadrature_only(tf), Window(0.0, 20.0)).value
+        assert len(calls) == 1
+        assert abs(got - theoretical_index(tf, Window(0.0, 20.0)).value) <= 1e-9
+
+    def test_overflowing_jump_gives_one(self):
+        # h(x0) ~ exp(750) and the declared jump rho*h(x0) overflow a double
+        tf = TransferFunction(x0=7500.0, rho=0.5)
+        assert tf.jumps[0][1] == np.inf
+        assert theoretical_index(tf, Window(7000.0, 8000.0)).value == 1.0
+
+    def test_switch_point_ulps_from_window_edge(self):
+        # (16, x0] is a few hundred ulps wide, and a scan grid spread over
+        # it rounds onto x0 unless kept inside the panel
+        tf = TransferFunction(x0=16.000000000001, rho=0.5)
+        window = Window(16.0, 16.01)
+        assert theoretical_index(tf, window).value == 1.0
+        for fn in (quadrature_only(tf), tf.as_piecewise()):
+            assert theoretical_index(fn, window).value == 1.0
+        for alpha in (1.5, 5.0):
+            dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
+            hf = HFunction(tf=tf.as_piecewise(), dist=dist)
+            assert theoretical_index_via_H(hf).value == 1.0
+
+    def test_overflowing_piecewise_raises_value_error_alone(self):
+        # h' overflows long before x = 8000, and the scan reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                theoretical_index(TransferFunction(rho=0.5).as_piecewise(), Window(0.0, 8000.0))
+
+    def test_zero_function_degenerates_without_warning(self):
+        pw = PiecewiseFunction((Segment(0.0, 1.0, lambda x: 0.0, lambda x: 0.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFunctionError):
+                theoretical_index(pw, Window(0.0, 1.0))
+
+    def test_non_finite_values_raise(self):
+        for value in (np.inf, np.nan):
+            pw = PiecewiseFunction((Segment(0.0, 1.0, lambda x, v=value: v, lambda x: 1.0),))
+            with pytest.raises(ValueError, match="finite"):
+                theoretical_index(pw, Window(0.0, 1.0))
+
+
 def scaled(tf, c):
     """c * tf through the closed-form protocol: log values shifted by
     log c, jump sizes times c, the same critical points and support."""
@@ -386,9 +452,15 @@ class TestInvariance:
         got = theoretical_index(scaled(tf, 10.0 ** k), window).value
         assert abs(got - theoretical_index(tf, window).value) <= 1e-12
 
+    # the negated piecewise form is telescoped from its values; without
+    # them only its derivative is known, and that is integrated
+    @pytest.mark.parametrize("reflect", [
+        lambda tf: negated(tf.as_piecewise()),
+        lambda tf: quadrature_only(negated(tf.as_piecewise())),
+    ], ids=["telescoped", "integrated"])
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(transfer_cases())
-    def test_reflection_on_the_integrating_route(self, case):
+    def test_reflection_on_both_direct_routes(self, reflect, case):
         tf, window = case
-        reflected = theoretical_index(negated(tf.as_piecewise()), window).value
+        reflected = theoretical_index(reflect(tf), window).value
         assert abs(reflected - (1.0 - theoretical_index(tf, window).value)) <= 1e-9

@@ -132,6 +132,12 @@ class TestJumps:
         assert pt[0] == 10.0
         np.testing.assert_allclose(pt[1], TF_UP.jump_size(), rtol=1e-15)
 
+    def test_jumps_computed_once(self):
+        tf = TransferFunction(rho=0.5)
+        assert tf.jumps is tf.jumps
+        assert "jumps" not in repr(tf)
+        assert tf == TransferFunction(rho=0.5)
+
 
 class TestPiecewiseFunction:
     def _tent(self):
