@@ -4,9 +4,11 @@ The quadrature is a Gauss-Kronrod 7/15 pair under global worst-panel
 refinement, as in QUADPACK, run in rounds: each round halves the worst
 panels and calls the integrand once, on the nodes of all their halves.
 Roots are refined the same way, all brackets in one call per round.
-Nodes are strictly interior, so integrands may be undefined at panel
-endpoints (open support edges, jump points) as long as the caller
-splits panels there.
+The ends of the interval given to integrate are never evaluated, so
+integrands may be undefined there (open support edges, jump points) as
+long as the caller splits panels at such points. On a sub-panel that
+deep refinement makes under 234 floats wide, the outermost GK15 nodes
+can round onto its ends.
 """
 
 from __future__ import annotations
@@ -71,9 +73,7 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     from one call of f on all their nodes."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    # a node within half an ulp of an end would round onto it
-    xs = np.clip(c[:, None] + h[:, None] * _NODES,
-                 np.nextafter(a, b)[:, None], np.nextafter(b, a)[:, None]).ravel()
+    xs = (c[:, None] + h[:, None] * _NODES).ravel()
     ys = _eval_nodes(f, xs).reshape(-1, 15)
     if not np.isfinite(ys).all():
         raise ValueError("f must be finite at every quadrature node")
@@ -92,8 +92,10 @@ def integrate(f: Callable, a: float, b: float) -> float:
     reaches MAX_DEPTH is frozen; if a frozen panel's error alone exceeds
     the tolerance, if every panel is frozen, or once MAX_PANELS panel
     evaluations are spent, NonConvergenceError is raised. A value of f
-    that is not finite at any node raises ValueError at once. Endpoints
-    are never evaluated, so a panel with no float inside integrates to 0.
+    that is not finite at any node raises ValueError at once. With no
+    float inside [a, b] the result is 0 and f is not called; an interval
+    too narrow for the nodes to stay inside it (under 234 floats) is
+    integrated by its midpoint value.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("bounds must be finite")
@@ -101,6 +103,13 @@ def integrate(f: Callable, a: float, b: float) -> float:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if np.nextafter(a, b) == b:
         return 0.0  # no node fits strictly inside
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    if not (a < c + h * _NODES[0] and c + h * _NODES[-1] < b):
+        # the outermost nodes would round onto the ends; c stays inside
+        y = float(_eval_nodes(f, np.array([c]))[0])
+        if not np.isfinite(y):
+            raise ValueError("f must be finite at every quadrature node")
+        return y * (b - a)
 
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     est, err = _gk15(f, lo, hi)

@@ -15,13 +15,11 @@ Every route cuts the window at the same points, found in x: the jumps
 inside it, plus the function's ``critical_points(lo, hi)`` (where its
 derivative may change sign) if it declares them, or else the sign
 changes of ``deriv`` that a scan finds. Between cuts the function is
-monotone, so wherever it has values (``log_eval`` or ``eval``) every
-term is a difference of two of them: a piece's variation of its end
-values, a jump of the one-sided limits. Only a function known solely
-through ``deriv`` has it integrated between the cuts, under the fixed
-tolerances of :mod:`.numerics`. The quantile route always integrates:
-it maps the cuts through the cdf, which is increasing, and H has the
-sign of h' between the images.
+monotone, so wherever it has values (``log_eval`` or ``eval``) each
+piece's variation and each jump is a difference of two of them. Only a
+function known solely through ``deriv`` has it integrated between the
+cuts, under the tolerances of :mod:`.numerics`. The quantile route
+always integrates H between the images of the cuts under the cdf.
 """
 
 from __future__ import annotations
@@ -89,10 +87,8 @@ def _breakpoints(fn, a: float, b: float) -> tuple[list[float], dict[float, float
     Returns the cuts strictly inside (a, b), ascending, between which fn is
     continuous and monotone: the jumps there, plus fn.critical_points(a, b)
     if fn declares it, or else the sign changes of fn.deriv that a scan
-    finds above EDGE_MARGIN from the lower edge of fn's support. Also
-    returns the sizes of those jumps by location, the only ones counted. A
-    jump at a only sets the right limit there, and one at b adds no
-    variation within (a, b].
+    finds above EDGE_MARGIN from the lower edge of fn's support; and the
+    sizes of those jumps by location, the only ones counted.
     """
     jumps = {x: s for x, s in fn.jumps if a < x < b}
     if hasattr(fn, "critical_points"):
@@ -145,11 +141,13 @@ def theoretical_index(fn, window: Window) -> IndexBreakdown:
     - ``log_eval(x)``, the log of the (positive) value, or else
       ``eval(x)``, left-continuous: the index is then telescoped from
       values at the cuts and one float step above them. An object with
-      neither has ``deriv`` integrated between the cuts instead.
+      neither has ``deriv`` integrated between the cuts instead. The
+      differences carry an error of ~eps times the largest |value|, so a
+      variation not well above that (under a large constant offset) is
+      lost; pass such a function through ``deriv`` alone.
 
-    TransferFunction declares ``critical_points`` and ``log_eval``, so
-    nothing is scanned or integrated for it. PiecewiseFunction is scanned
-    for its cuts and then telescoped through ``eval``.
+    TransferFunction has ``critical_points`` and ``log_eval``, so no scan
+    or quadrature runs for it; PiecewiseFunction is scanned, then telescoped.
     """
     a, b = float(window.a), float(window.b)
     s_lo, s_hi = fn.support
@@ -166,22 +164,22 @@ def theoretical_index(fn, window: Window) -> IndexBreakdown:
 def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
     """The same index computed by integrating H over the unit interval.
 
-    The substitution x = Q(u) maps window integrals of h' one-to-one onto
-    integrals of H, jumps map to the images tau_k = cdf(x_k) with their
-    sizes unchanged, and the distribution cancels from the ratio. Must
-    agree with :func:`theoretical_index` for any windowed distribution.
-
-    The window is cut in x, at the same points as on the direct route,
-    and the cuts are mapped through the cdf: it is increasing and q > 0,
-    so H keeps one sign between the images. A function that declares no
-    ``critical_points`` is scanned in x for the sign changes of its
-    ``deriv``, and needs a ``support`` for that. Every value is then a
-    quadrature of H, never a difference of h values, so the route still
-    checks the closed form's telescoping and the distribution-freeness
-    of the index independently; only the cuts are shared with it.
+    The substitution x = Q(u) maps window integrals of h' onto integrals
+    of H, jumps keep their declared sizes, and the distribution cancels
+    from the ratio, so this must agree with :func:`theoretical_index`.
+    The window is cut in x as on the direct route (an object without
+    ``critical_points`` needs a ``support`` for the scan) and the cuts
+    are mapped through the cdf, between whose images H keeps one sign.
+    Every value is a quadrature of H, never a difference of h values, so
+    the route checks the telescoping and the distribution-freeness
+    independently. If F(b) rounds to 1, H is undefined at u = 1 and no
+    u < 1 reaches the top of the window, so ValueError is raised.
     """
     dist = hf.dist
-    cuts, jumps = _breakpoints(hf.tf, dist.window.a, dist.window.b)
+    a, b = dist.window.a, dist.window.b
+    if dist.fb == 1.0:
+        raise ValueError(f"F({b}) rounds to 1: the top of ({a}, {b}] is out of reach in u")
+    cuts, jumps = _breakpoints(hf.tf, a, b)
     images = {float(dist.cdf(x)) for x in cuts}
     breaks = [0.0, *sorted(u for u in images if 0.0 < u < 1.0), 1.0]
     int_pos, int_abs = signed_variation(hf, breaks)

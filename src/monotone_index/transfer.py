@@ -11,6 +11,7 @@ import numpy as np
 
 from .distributions import WindowedDistribution, _demote, _promote
 from .errors import SingularPointError
+from .numerics import REL_TOL
 
 __all__ = ["HFunction", "PiecewiseFunction", "Segment", "TransferFunction"]
 
@@ -179,8 +180,11 @@ class PiecewiseFunction:
 
     Jump locations are never inferred numerically; whoever builds the
     object states where the discontinuities sit and how large they are.
-    Segments must tile an interval contiguously, left to right. eval and
-    deriv take a scalar or an array, like TransferFunction's.
+    Segments must tile an interval contiguously, left to right, and each
+    boundary between two must hold a declared jump equal to the gap
+    between their values there (each segment's value callable at the
+    shared end), to REL_TOL of the larger, or no jump and no gap. eval
+    and deriv take a scalar or an array, like TransferFunction's.
     """
 
     segments: tuple[Segment, ...]
@@ -203,6 +207,20 @@ class PiecewiseFunction:
             raise ValueError("jump points must lie strictly inside the domain")
         if any(b <= a for a, b in zip(locs, locs[1:])):
             raise ValueError("jump points must be strictly increasing")
+        # the exact route reads values, the others these sizes: they must agree
+        sizes = dict(self.jumps)
+        for left, right in zip(self.segments, self.segments[1:]):
+            x = np.array([left.hi])
+            lv, rv = (float(np.broadcast_to(s.value(x), 1)[0]) for s in (left, right))
+            size = sizes.pop(left.hi, 0.0)
+            # an overflowing value compares false here, for the routes to report
+            if abs(rv - lv - size) > REL_TOL * max(abs(lv), abs(rv)):
+                raise ValueError(
+                    f"at {left.hi} the segments' values differ by {rv - lv!r}, "
+                    f"but the declared jump is {size!r}"
+                )
+        if sizes:
+            raise ValueError(f"jump points {sorted(sizes)} are not segment boundaries")
 
     @property
     def support(self) -> tuple[float, float]:

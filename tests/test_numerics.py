@@ -219,16 +219,25 @@ class TestSignedVariation:
 
 
 class TestPanelsFewUlpsWide:
-    @pytest.mark.parametrize("ulps", [1, 2, 3, 300])
-    def test_ends_are_never_evaluated(self, ulps):
-        # a jump at either end leaves f undefined there, however close
-        a = 16.0
-        b = a + ulps * np.spacing(a)
-
-        def open_only(x):
+    # a jump at either end leaves f undefined there, however close
+    @staticmethod
+    def _open_only(a, b):
+        def f(x):
             assert ((x > a) & (x < b)).all()
             return np.ones_like(x)
+        return f
 
-        # no float lies strictly inside a panel one ulp wide
-        assert integrate(open_only, a, b) == pytest.approx(0.0 if ulps == 1 else b - a)
-        assert find_sign_changes(open_only, a, b, 1000) == []
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 300])
+    def test_scan_never_evaluates_the_ends(self, ulps):
+        a = 16.0
+        b = a + ulps * np.spacing(a)
+        assert find_sign_changes(self._open_only(a, b), a, b, 1000) == []
+
+    # no float lies strictly inside a panel one ulp wide; below 234 ulps
+    # the outermost GK15 nodes would round onto an end
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 233, 234, 300])
+    def test_quadrature_keeps_off_the_ends(self, ulps):
+        a = 16.0
+        b = a + ulps * np.spacing(a)
+        got = integrate(self._open_only(a, b), a, b)
+        assert got == pytest.approx(0.0 if ulps == 1 else b - a)

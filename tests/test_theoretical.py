@@ -215,6 +215,20 @@ class TestViaH:
         via = theoretical_index_via_H(HFunction(tf=TransferFunction(), dist=dist))
         assert via.value == 1.0
 
+    @pytest.mark.parametrize("tf, b", [
+        # the jump at 2000 maps onto u = 1, above Q(1 - 2**-53) ~ 1551
+        (TransferFunction(x0=2000.0, rho=-0.5), 3000.0),
+        (TransferFunction(), 8000.0),
+        (TransferFunction(rho=0.5), 8000.0),
+    ])
+    def test_top_out_of_reach_raises(self, tf, b):
+        # the Lomax(5) cdf rounds to 1 at b, so no u < 1 reaches the top
+        dist = WindowedDistribution(LomaxParams(5.0, 1.0), Window(0.0, b))
+        assert theoretical_index(tf, dist.window).value == 1.0
+        for fn in (tf, tf.as_piecewise()):
+            with pytest.raises(ValueError, match="out of reach"):
+                theoretical_index_via_H(HFunction(tf=fn, dist=dist))
+
 
 class TestProfile:
     def _hf(self, window=Window(8.0, 12.0), rho=0.0, alpha=1.5):
@@ -400,6 +414,15 @@ class TestValuesRoute:
             hf = HFunction(tf=tf.as_piecewise(), dist=dist)
             assert theoretical_index_via_H(hf).value == 1.0
 
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 50])
+    def test_switch_point_ulps_below_window_top(self, ulps):
+        # the panel (x0, b] is too narrow for the GK15 nodes to stay off x0
+        x0 = 1.0 - ulps * np.spacing(0.5)
+        tf = TransferFunction(x0=x0, rho=0.5)
+        closed = theoretical_index(tf, Window(0.0, 1.0)).value
+        for fn in (quadrature_only(tf), tf.as_piecewise()):
+            assert abs(theoretical_index(fn, Window(0.0, 1.0)).value - closed) <= 1e-9
+
     def test_overflowing_piecewise_raises_value_error_alone(self):
         # h' overflows long before x = 8000, and the scan reports it
         with warnings.catch_warnings():
@@ -413,6 +436,23 @@ class TestValuesRoute:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateFunctionError):
                 theoretical_index(pw, Window(0.0, 1.0))
+
+    def test_values_lose_a_variation_below_their_rounding(self):
+        # a tent of height 1 on a constant c: its values round to multiples
+        # of ulp(c), so their differences carry an error of ~eps * c
+        def tent(c):
+            return PiecewiseFunction((
+                Segment(0.0, 1.0, lambda x: c + x, lambda x: 1.0),
+                Segment(1.0, 2.0, lambda x: c + 2.0 - x, lambda x: -1.0),
+            ))
+
+        window = Window(0.0, 2.0)
+        assert abs(theoretical_index(tent(1e8), window).value - 0.5) < 1e-7
+        with pytest.raises(DegenerateFunctionError):
+            theoretical_index(tent(1e17), window)
+        # known through its derivative alone, the tent is integrated
+        for c in (1e8, 1e17):
+            assert abs(theoretical_index(quadrature_only(tent(c)), window).value - 0.5) < 1e-9
 
     def test_non_finite_values_raise(self):
         for value in (np.inf, np.nan):

@@ -181,6 +181,21 @@ class TestPiecewiseFunction:
                 jumps=((2.0, 0.5),),  # jump must be strictly interior
             )
 
+    def test_jumps_must_match_the_segments(self):
+        # the telescoped route reads the values, the others the sizes
+        rise, fall = (Segment(0.0, 1.0, lambda x: x, lambda x: 1.0),
+                      Segment(1.0, 2.0, lambda x: 2.5 - x, lambda x: -1.0))
+        for jumps, match in [(((1.0, 0.4),), "declared jump is 0.4"),
+                             ((), "declared jump is 0.0"),
+                             (((0.5, 0.0), (1.0, 0.5)), "not segment boundaries")]:
+            with pytest.raises(ValueError, match=match):
+                PiecewiseFunction(segments=(rise, fall), jumps=jumps)
+        with pytest.raises(ValueError, match="declared jump is 0.5"):
+            PiecewiseFunction((rise, Segment(1.0, 2.0, lambda x: x, lambda x: 1.0)),
+                              jumps=((1.0, 0.5),))
+        # an overflowing value is left for the routes to report
+        TransferFunction(x0=7500.0, rho=0.5).as_piecewise()
+
     def test_arrays_match_pointwise_calls(self):
         # the tent's derivative callables return scalar constants, which
         # must broadcast over the segment's points
