@@ -4,11 +4,12 @@ The quadrature is a Gauss-Kronrod 7/15 pair under global worst-panel
 refinement, as in QUADPACK, run in rounds: each round halves the worst
 panels and calls the integrand once, on the nodes of all their halves.
 Roots are refined the same way, all brackets in one call per round.
-The ends of the interval given to integrate are never evaluated, so
-integrands may be undefined there (open support edges, jump points) as
-long as the caller splits panels at such points. On a sub-panel that
-deep refinement makes under 234 floats wide, the outermost GK15 nodes
-can round onto its ends.
+Neither integrate nor find_sign_changes evaluates the ends of the
+interval it is given, so integrands may be undefined there (an open
+support edge such as x = 0, a jump point), and a caller passes a window
+and its cuts as they are, as long as it splits panels at such points.
+On a sub-panel that deep refinement makes under 234 floats wide, the
+outermost GK15 nodes can round onto its ends.
 """
 
 from __future__ import annotations

@@ -35,20 +35,9 @@ __all__ = [
 TRAJECTORY_HEADER = ("n", "replication", "seed", "index", "bn", "status")
 
 
-def default_n_grid(lo: int = 100, hi: int = 100_000, points: int = 20) -> tuple[int, ...]:
-    """Log-spaced sample sizes from lo to hi inclusive, rounded to ints.
-
-    Rounding collisions are deduplicated, so very tight ranges may return
-    fewer than ``points`` sizes.
-    """
-    if lo < 2:
-        raise ValueError("lo must be >= 2")
-    if hi <= lo:
-        raise ValueError("hi must be > lo")
-    if points < 2:
-        raise ValueError("points must be >= 2")
-    sizes = np.unique(np.round(np.geomspace(lo, hi, points)).astype(int))
-    return tuple(int(v) for v in sizes)
+def default_n_grid() -> tuple[int, ...]:
+    """20 log-spaced sample sizes from 100 to 100 000 inclusive, rounded to ints."""
+    return tuple(int(v) for v in np.round(np.geomspace(100, 100_000, 20)))
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ depend on the input distribution at all.
 Every route cuts the window at the same points, found in x: the jumps
 inside it, plus the function's ``critical_points(lo, hi)`` (where its
 derivative may change sign) if it declares them, or else the sign
-changes of ``deriv`` that a scan finds. Between cuts the function is
-monotone, so wherever it has values (``log_eval`` or ``eval``) each
-piece's variation and each jump is a difference of two of them. Only a
-function known solely through ``deriv`` has it integrated between the
-cuts, under the tolerances of :mod:`.numerics`. The quantile route
-always integrates H between the images of the cuts under the cdf.
+changes of ``deriv`` that a scan of the window finds. Between cuts the
+function is monotone, so wherever it has values (``log_eval`` or
+``eval``) each piece's variation and each jump is a difference of two of
+them. Only a function known solely through ``deriv`` has it integrated
+between the window edges and the cuts, under the tolerances of
+:mod:`.numerics`, which never evaluate the ends of a panel. The quantile
+route always integrates H between the images of the cuts under the cdf,
+and raises where a jump's image does not map back onto the jump.
 """
 
 from __future__ import annotations
@@ -30,22 +32,15 @@ import numpy as np
 
 from .distributions import Window
 from .errors import DegenerateFunctionError
-from .numerics import sign_partition, signed_variation
+from .numerics import REL_TOL, sign_partition, signed_variation
 from .transfer import HFunction
 
 __all__ = [
-    "EDGE_MARGIN",
     "IndexBreakdown",
     "emit_h_profile",
     "theoretical_index",
     "theoretical_index_via_H",
 ]
-
-# open-edge truncation: the integrands used here vanish superexponentially
-# toward the support edge, so the omitted mass sits far below quadrature
-# tolerance
-EDGE_MARGIN = 1e-12
-
 
 @dataclass(frozen=True)
 class IndexBreakdown:
@@ -86,17 +81,16 @@ def _breakpoints(fn, a: float, b: float) -> tuple[list[float], dict[float, float
 
     Returns the cuts strictly inside (a, b), ascending, between which fn is
     continuous and monotone: the jumps there, plus fn.critical_points(a, b)
-    if fn declares it, or else the sign changes of fn.deriv that a scan
-    finds above EDGE_MARGIN from the lower edge of fn's support; and the
-    sizes of those jumps by location, the only ones counted.
+    if fn declares it, or else the sign changes of fn.deriv that a scan of
+    the window finds (it never evaluates deriv at a, b or a jump); and the
+    sizes of those jumps by location, the only ones counted. Only
+    fn.jumps and one of fn.critical_points and fn.deriv are read.
     """
     jumps = {x: s for x, s in fn.jumps if a < x < b}
     if hasattr(fn, "critical_points"):
         found = fn.critical_points(a, b)
     else:
-        # a jump below lo is still a cut, for the quantile route to split at
-        lo = max(a, fn.support[0] + EDGE_MARGIN)
-        found = sign_partition(fn.deriv, lo, b, [x for x in jumps if x > lo])[1:-1]
+        found = sign_partition(fn.deriv, a, b, jumps)[1:-1]
     return sorted({*found, *jumps}), jumps
 
 
@@ -132,8 +126,9 @@ def _telescoped(fn, a: float, b: float, cuts, jumps) -> IndexBreakdown:
 def theoretical_index(fn, window: Window) -> IndexBreakdown:
     """Index of increase of ``fn`` over ``window``.
 
-    ``fn`` exposes a declared ``jumps`` list of (location, size) and a
-    ``support`` interval, and takes and returns numpy arrays in:
+    ``fn`` exposes a ``jumps`` list of (location, size) and a ``support``
+    interval that must hold the window, and takes and returns numpy
+    arrays in:
 
     - ``critical_points(lo, hi)``, the points of (lo, hi) where the
       derivative may change sign, or else ``deriv(x)``, scanned for its
@@ -147,7 +142,8 @@ def theoretical_index(fn, window: Window) -> IndexBreakdown:
       lost; pass such a function through ``deriv`` alone.
 
     TransferFunction has ``critical_points`` and ``log_eval``, so no scan
-    or quadrature runs for it; PiecewiseFunction is scanned, then telescoped.
+    or quadrature runs for it; PiecewiseFunction is scanned, then
+    telescoped, and its jumps are the gaps between its segments' values.
     """
     a, b = float(window.a), float(window.b)
     s_lo, s_hi = fn.support
@@ -156,8 +152,7 @@ def theoretical_index(fn, window: Window) -> IndexBreakdown:
     cuts, jumps = _breakpoints(fn, a, b)
     if hasattr(fn, "log_eval") or hasattr(fn, "eval"):
         return _telescoped(fn, a, b, cuts, jumps)
-    lo = max(a, s_lo + EDGE_MARGIN)
-    int_pos, int_abs = signed_variation(fn.deriv, [lo, *(x for x in cuts if x > lo), b])
+    int_pos, int_abs = signed_variation(fn.deriv, [a, *cuts, b])
     return _finish(jumps.values(), int_pos, int_abs)
 
 
@@ -165,23 +160,36 @@ def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
     """The same index computed by integrating H over the unit interval.
 
     The substitution x = Q(u) maps window integrals of h' onto integrals
-    of H, jumps keep their declared sizes, and the distribution cancels
-    from the ratio, so this must agree with :func:`theoretical_index`.
-    The window is cut in x as on the direct route (an object without
-    ``critical_points`` needs a ``support`` for the scan) and the cuts
-    are mapped through the cdf, between whose images H keeps one sign.
-    Every value is a quadrature of H, never a difference of h values, so
-    the route checks the telescoping and the distribution-freeness
-    independently. If F(b) rounds to 1, H is undefined at u = 1 and no
-    u < 1 reaches the top of the window, so ValueError is raised.
+    of H, jumps keep the sizes in ``hf.tf.jumps``, and the distribution
+    cancels from the ratio, so this must agree with
+    :func:`theoretical_index`. The window is cut in x as on the direct
+    route, from ``jumps`` and ``critical_points`` or ``deriv`` alone, and
+    the cuts are mapped through the cdf, between whose images H keeps one
+    sign. Every value is a quadrature of H, never a difference of h
+    values, so the route checks the telescoping and the
+    distribution-freeness independently.
+
+    ValueError is raised where the window is out of reach in u: if F(b)
+    rounds to 1, H is undefined at u = 1 and no u < 1 reaches the top of
+    the window; and if the quantile of a counted jump's image lies off
+    the jump by more than REL_TOL of the window's width, the cdf is too
+    coarse there (1 - F only a few times eps) for H to be split at the
+    jump, and the sum would be silently wrong.
     """
     dist = hf.dist
     a, b = dist.window.a, dist.window.b
     if dist.fb == 1.0:
         raise ValueError(f"F({b}) rounds to 1: the top of ({a}, {b}] is out of reach in u")
     cuts, jumps = _breakpoints(hf.tf, a, b)
-    images = {float(dist.cdf(x)) for x in cuts}
-    breaks = [0.0, *sorted(u for u in images if 0.0 < u < 1.0), 1.0]
+    images = dist.cdf(np.array(cuts, dtype=float)).tolist()
+    # H is split at a jump's image, which only holds the jump if Q maps it back
+    for x, u in zip(cuts, images):
+        if x in jumps and abs(dist.quantile(u) - x) > REL_TOL * (b - a):
+            raise ValueError(
+                f"the jump at {x} maps to u = {u!r}, whose quantile is "
+                f"{dist.quantile(u)!r}: the cdf is too coarse there to cut ({a}, {b}] in u"
+            )
+    breaks = [0.0, *sorted({u for u in images if 0.0 < u < 1.0}), 1.0]
     int_pos, int_abs = signed_variation(hf, breaks)
     return _finish(jumps.values(), int_pos, int_abs)
 

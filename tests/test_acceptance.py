@@ -259,7 +259,6 @@ class TestAcceptance:
                 Segment(10.0, np.inf,
                         lambda v: -0.5 * lower.eval(v), lambda v: -0.5 * lower.deriv(v)),
             ),
-            jumps=((10.0, -tf.jump_size()),),
         )
         v = theoretical_index(tf, Window(0.0, 20.0)).value
         w = theoretical_index(neg, Window(0.0, 20.0)).value

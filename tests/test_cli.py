@@ -91,6 +91,14 @@ class TestTheoretical:
         assert code == 0
         assert float(rows(out)[1][4]) == 1.0
 
+    @pytest.mark.parametrize("x0", ["975", "999.9"])
+    def test_via_h_jump_image_off_the_jump_is_domain_error(self, capsys, x0):
+        # 1 - F(1000) is 1e-15 at alpha = 5, too coarse to cut H at the jump
+        code, out, err = run(capsys, "theoretical", "--window", "0,1000", "--x0", x0,
+                             "--rho", "-0.5", "--paper-params", "a5", "--via-h")
+        assert (code, out) == (3, "")
+        assert "too coarse" in err
+
     def test_precision_controls_digits(self, capsys):
         _, wide, _ = run(capsys, "theoretical", "--window", "0,2", "--precision", "12")
         _, narrow, _ = run(capsys, "theoretical", "--window", "0,2", "--precision", "3")

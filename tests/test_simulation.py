@@ -64,14 +64,6 @@ class TestDefaultGrid:
         assert len(grid) == 20
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            default_n_grid(lo=1)
-        with pytest.raises(ValueError):
-            default_n_grid(lo=100, hi=100)
-        with pytest.raises(ValueError):
-            default_n_grid(points=1)
-
 
 class TestExperimentConfig:
     def test_grid_validation(self):

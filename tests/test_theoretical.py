@@ -125,7 +125,6 @@ class TestReflectionAndEdgeJumps:
                     lambda x: -0.5 * lower.deriv(x),
                 ),
             ),
-            jumps=((10.0, -tf.jump_size()),),
         )
         for window in WINDOWS.values():
             v = theoretical_index(tf, window).value
@@ -210,6 +209,26 @@ class TestViaH:
             via = theoretical_index_via_H(HFunction(tf=fn, dist=dist))
             assert abs(via.value - closed) <= 1e-9
 
+    @pytest.mark.parametrize("alpha", [1.5, 5.0])
+    def test_object_with_deriv_and_jumps_alone(self, alpha):
+        tf = TransferFunction(rho=-0.5)
+        window = Window(0.0, 20.0)
+        bare = types.SimpleNamespace(deriv=tf.deriv, jumps=tf.jumps)
+        dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
+        via = theoretical_index_via_H(HFunction(bare, dist))
+        assert abs(via.value - theoretical_index(tf, window).value) <= 1e-9
+
+    @pytest.mark.parametrize("x0", [975.0, 999.9])
+    def test_jump_image_off_the_jump_raises(self, x0):
+        # 1 - F(1000) is 1e-15 at alpha = 5, and Q(F(x0)) lies past the
+        # jump; H summed over those cuts gives 0.61 and 0.70 against the
+        # closed form's 0.93 and 0.67
+        tf = TransferFunction(x0=x0, rho=-0.5)
+        dist = WindowedDistribution(LomaxParams(5.0, 1.0), Window(0.0, 1000.0))
+        for fn in (tf, tf.as_piecewise()):
+            with pytest.raises(ValueError, match="too coarse"):
+                theoretical_index_via_H(HFunction(tf=fn, dist=dist))
+
     def test_nonnegative_h_gives_one(self):
         dist = WindowedDistribution(LomaxParams(1.5, 1.0), Window(8.0, 12.0))
         via = theoretical_index_via_H(HFunction(tf=TransferFunction(), dist=dist))
@@ -279,8 +298,8 @@ def transfer_cases(draw, a_max=50.0, width_max=1e3):
     The switch point lands at either window edge, inside the window or
     outside it, as close to an edge as a draw puts it: the scan and the
     quadrature keep off the ends of a panel only a few ulps wide. It is
-    also drawn from [1e-300, 1e-6] on a log scale: the integrating route
-    counts a jump below EDGE_MARGIN = 1e-12, where its integral starts.
+    also drawn from [1e-300, 1e-6] on a log scale: a jump that close above
+    a = 0 is still a cut, and counted, on every route.
     """
     gamma = draw(st.floats(0.01, 1.0))
     delta = draw(st.floats(0.1, 5.0))
@@ -479,8 +498,7 @@ def negated(pw):
         tuple(
             Segment(s.lo, s.hi, lambda x, f=s.value: -f(x), lambda x, d=s.derivative: -d(x))
             for s in pw.segments
-        ),
-        jumps=tuple((x, -size) for x, size in pw.jumps),
+        )
     )
 
 

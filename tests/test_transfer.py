@@ -145,7 +145,7 @@ class TestPiecewiseFunction:
             Segment(0.0, 1.0, lambda x: x, lambda x: 1.0),
             Segment(1.0, 2.0, lambda x: 2.5 - x, lambda x: -1.0),
         )
-        return PiecewiseFunction(segments=segs, jumps=((1.0, 0.5),))
+        return PiecewiseFunction(segments=segs)
 
     def test_eval_left_continuous(self):
         f = self._tent()
@@ -175,26 +175,32 @@ class TestPiecewiseFunction:
                     Segment(1.5, 2.0, lambda x: x, lambda x: 1.0),
                 ),
             )
-        with pytest.raises(ValueError):
-            PiecewiseFunction(
-                segments=(Segment(0.0, 2.0, lambda x: x, lambda x: 1.0),),
-                jumps=((2.0, 0.5),),  # jump must be strictly interior
-            )
 
-    def test_jumps_must_match_the_segments(self):
-        # the telescoped route reads the values, the others the sizes
-        rise, fall = (Segment(0.0, 1.0, lambda x: x, lambda x: 1.0),
-                      Segment(1.0, 2.0, lambda x: 2.5 - x, lambda x: -1.0))
-        for jumps, match in [(((1.0, 0.4),), "declared jump is 0.4"),
-                             ((), "declared jump is 0.0"),
-                             (((0.5, 0.0), (1.0, 0.5)), "not segment boundaries")]:
-            with pytest.raises(ValueError, match=match):
-                PiecewiseFunction(segments=(rise, fall), jumps=jumps)
-        with pytest.raises(ValueError, match="declared jump is 0.5"):
-            PiecewiseFunction((rise, Segment(1.0, 2.0, lambda x: x, lambda x: 1.0)),
-                              jumps=((1.0, 0.5),))
+    def test_jumps_are_the_gaps_between_segment_values(self):
+        assert self._tent().jumps == ((1.0, 0.5),)
+        rise = Segment(0.0, 1.0, lambda x: x, lambda x: 1.0)
+        assert PiecewiseFunction((rise, Segment(1.0, 2.0, lambda x: x, lambda x: 1.0))).jumps == ()
+        negated = PiecewiseFunction(tuple(
+            Segment(s.lo, s.hi, lambda x, f=s.value: -f(x), lambda x, d=s.derivative: -d(x))
+            for s in self._tent().segments
+        ))
+        assert negated.jumps == ((1.0, -0.5),)
         # an overflowing value is left for the routes to report
         TransferFunction(x0=7500.0, rho=0.5).as_piecewise()
+
+    def test_no_segment_called_on_an_empty_slice(self):
+        calls = []
+
+        def seg(lo, hi):
+            def value(x):
+                calls.append((lo, x.size))
+                return x
+            return Segment(lo, hi, value, lambda x: 1.0)
+
+        f = PiecewiseFunction((seg(0.0, 1.0), seg(1.0, 2.0), seg(2.0, 3.0)))
+        calls.clear()
+        f.eval(np.array([2.5, 0.5, 2.25]))
+        assert sorted(calls) == [(0.0, 1), (2.0, 2)]
 
     def test_arrays_match_pointwise_calls(self):
         # the tent's derivative callables return scalar constants, which
