@@ -1,10 +1,19 @@
 """Command-line interface: output tables, presets, exit codes."""
 
+import csv
+import os
+import tempfile
+import threading
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monotone_index import SamplePairs, empirical_index
-from monotone_index.cli import main
+from monotone_index import SamplePairs, cli, empirical_index
+from monotone_index.cli import UsageError, main
 
 
 def run(capsys, *argv):
@@ -219,6 +228,192 @@ class TestEstimate:
                    self.write(tmp_path, "1,2\n"))[0] == 2
         assert run(capsys, "estimate", "--input",
                    str(tmp_path / "missing.csv"))[0] == 2
+
+
+def outcome(read, path):
+    """The pairs' bytes, or the UsageError text."""
+    try:
+        pairs = read(path)
+    except UsageError as exc:
+        return str(exc)
+    return pairs.x.tobytes(), pairs.y.tobytes()
+
+
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**20, 10**20).map(str))
+# the spellings on which the csv loop and numpy's parser could part
+ODD_CELLS = st.sampled_from([
+    "", " ", "x", '"1"', '"', "1_0", " 1 ", "\t2\x0c", "nan", "-inf", "1e999", "-0", ".5",
+    "5.", "0x1", "\u0661", "1 2", "\x00", "\ufeff1", "\udcff", "0" * 50, "#1",
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """Rows of two numbers, an optional header and at most two odd rows
+    of zero to three cells, with mixed line ends."""
+    rows = draw(st.lists(st.tuples(NUMBERS, NUMBERS).map(",".join), max_size=8))
+    if draw(st.booleans()):
+        rows.insert(0, "x,y")
+    odd_rows = st.lists(st.one_of(NUMBERS, ODD_CELLS), max_size=3).map(",".join)
+    for row in draw(st.lists(odd_rows, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(row + draw(ends) for row in rows)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestIngest:
+    """_read_pairs against the csv loop it stands in for."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "pairs.csv"
+        path.write_text(text, newline="")
+        return str(path)
+
+    def run_warning_free(self, capsys, *argv):
+        # a warning would reach stderr outside pytest, which records it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(capsys, *argv)
+        assert caught == []
+        return result
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(csv_texts(), st.sampled_from([16, 64, 1 << 20]), st.sampled_from([40, 131072]))
+    def test_same_pairs_or_same_error(self, text, block, field_limit):
+        old_limit = csv.field_size_limit(field_limit)
+        try:
+            with tempfile.TemporaryDirectory() as tmp, \
+                    mock.patch.object(cli, "INGEST_BLOCK", block):
+                path = os.path.join(tmp, "pairs.csv")
+                with open(path, "wb") as fh:
+                    fh.write(text.encode("utf-8", "surrogateescape"))
+                assert outcome(cli._read_pairs, path) == outcome(cli._csv_pairs, path)
+        finally:
+            csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n1,2\n3,4\n",
+        "1,2\n3,4\n",
+        "1,2\r\n\r\n3,4\r\n",
+        "x,y\r1,2\r3,4\r",
+        "x,y\n1,2\n3,4",
+        " 1 , 2 \n-3.5e-300,4\n",
+    ])
+    def test_well_formed_files_skip_the_loop(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        want = outcome(cli._csv_pairs, path)
+        with mock.patch.object(cli, "_csv_pairs", side_effect=AssertionError("declined")), \
+                mock.patch.object(cli, "INGEST_BLOCK", 4):
+            assert outcome(cli._read_pairs, path) == want
+
+    def test_columns_are_contiguous(self, tmp_path):
+        path = self.write(tmp_path, "".join(f"{i},{-i}\n" for i in range(100)))
+        with mock.patch.object(cli, "INGEST_BLOCK", 64):
+            pairs = cli._read_pairs(path)
+        assert pairs.x.flags.c_contiguous and pairs.y.flags.c_contiguous
+        assert pairs.x.tolist() == list(range(100))
+
+    @pytest.mark.parametrize("digit", ["0", "9"])
+    def test_oversized_field_in_row_three(self, capsys, tmp_path, digit):
+        # numpy reads "0" * 200000 as 0.0 and "9" * 200000 as inf
+        path = self.write(tmp_path, "1,2\n3,4\n5," + digit * 200_000 + "\n7,8\n")
+        code, out, err = run(capsys, "estimate", "--input", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 3: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("\n\n\n", "no data rows"),
+        # numpy warns "input contained no data" on a block of blank lines
+        ("x,y\n\n\n\n", "need at least two data rows"),
+        ("x,y\n" + "\n" * 5000, "need at least two data rows"),
+    ])
+    def test_blank_lines_only(self, capsys, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        code, out, err = self.run_warning_free(capsys, "estimate", "--input", path)
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("text,x,y", [
+        ('"1",2\n3,4\n', [1, 3], [2, 4]),
+        ("x,y\n1_0,2\n3,4\n", [10, 3], [2, 4]),
+        ("1,2\n  \n3,4\n", [1, 3], [2, 4]),
+        ("1,2\r3,4\r5,6\r", [1, 3, 5], [2, 4, 6]),
+        ("1,2\n3,4", [1, 3], [2, 4]),
+    ])
+    def test_accepted_as_before(self, tmp_path, text, x, y):
+        pairs = cli._read_pairs(self.write(tmp_path, text))
+        assert (pairs.x.tolist(), pairs.y.tolist()) == (x, y)
+
+    def test_pipe_is_read_once(self, capsys, tmp_path):
+        # a quoted row sends the file to the csv loop, which must still
+        # see the rows that numpy's parser would have taken from the pipe
+        text = 'x,y\n"1",2\n' + "".join(f"{i},{i % 7}\n" for i in range(3, 500))
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            with os.fdopen(write_fd, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            piped = run(capsys, "estimate", "--input", f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert piped == run(capsys, "estimate", "--input", self.write(tmp_path, text))
+        assert piped[0] == 0
+
+    def test_large_well_formed_file_is_quiet(self, capsys, tmp_path):
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(0.0, 2.0, 10_000), rng.normal(size=10_000)
+        lines = (f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+        path = self.write(tmp_path, "x,y\n" + "".join(lines))
+        code, out, err = self.run_warning_free(capsys, "estimate", "--input", path)
+        assert (code, err) == (0, "")
+        assert rows(out)[1][0] == "10000"
+
+
+class TestOutput:
+    """--output is written only once the command has succeeded."""
+
+    def test_output_may_be_the_input(self, capsys, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("1,0\n2,2\n3,1\n")
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--output", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text() == "n,index,numerator,denominator,bn\n3,0.666667,2,3,1.73205\n"
+
+    @pytest.mark.parametrize("argv,want", [
+        (["estimate", "--input", "PAIRS"], 2),
+        (["theoretical", "--window", "2,1"], 2),
+        (["estimate", "--input", "FLAT"], 3),
+        (["theoretical", "--window", "0,1000", "--x0", "975", "--rho", "-0.5",
+          "--paper-params", "a5", "--via-h"], 3),
+    ])
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failure_leaves_output_as_it_was(self, capsys, tmp_path, argv, want, existing):
+        (tmp_path / "PAIRS").write_text("x,y\n1,2\n3,abc\n")
+        (tmp_path / "FLAT").write_text("1,7\n2,7\n3,7\n")
+        argv = [str(tmp_path / a) if a in ("PAIRS", "FLAT") else a for a in argv]
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_bytes(b"kept\r\n")
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (want, "")
+        assert err.startswith("error: ")
+        if existing:
+            assert target.read_bytes() == b"kept\r\n"
+        else:
+            assert not target.exists()
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "x.csv"
+        code, out, err = run(capsys, "theoretical", "--window", "0,2", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 class TestSimulate:
