@@ -205,7 +205,7 @@ def _loadtxt_pairs(path: str) -> SamplePairs:
     blocks = []
     with open(path, newline="") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
-        first = next(csv.reader(fh), [])
+        first = next(csv.reader(fh, strict=True), [])
         if len(first) != 2:
             raise ValueError("the first row is not two cells")
         try:
@@ -230,8 +230,11 @@ def _csv_pairs(path: str) -> SamplePairs:
     seen_row = False
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, strict=True)
+            # a record, a blank row too, starts after the last line of the one before
+            next_start = 1
             for row in reader:
+                start, next_start = next_start, reader.line_num + 1
                 if not any(c.strip() for c in row):
                     continue
                 try:
@@ -240,7 +243,7 @@ def _csv_pairs(path: str) -> SamplePairs:
                 except ValueError:
                     if seen_row:
                         raise UsageError(
-                            f"{path}: line {reader.line_num}: expected two numeric columns"
+                            f"{path}: line {start}: expected two numeric columns"
                         ) from None
                     if len(row) != 2:
                         raise UsageError(f"{path}: expected two columns per row") from None
@@ -252,7 +255,7 @@ def _csv_pairs(path: str) -> SamplePairs:
     except OSError as exc:
         raise UsageError(str(exc)) from exc
     except csv.Error as exc:
-        raise UsageError(f"{path}: line {reader.line_num}: {exc}") from exc
+        raise UsageError(f"{path}: line {next_start}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = _undecodable_line(path, exc.encoding)
         raise UsageError(f"{path}: line {line}: not {exc.encoding} text ({exc.reason})") from exc

@@ -1,15 +1,14 @@
 """Adaptive quadrature and sign partitioning for piecewise-smooth integrands.
 
 The quadrature is a Gauss-Kronrod 7/15 pair under global worst-panel
-refinement, as in QUADPACK, run in rounds: each round halves the worst
-panels and calls the integrand once, on the nodes of all their halves.
-Roots are refined the same way, all brackets in one call per round.
-Neither integrate nor find_sign_changes evaluates the ends of the
-interval it is given, so integrands may be undefined there (an open
+refinement, as in QUADPACK, run in rounds over all the pieces of a
+window at once: each round halves the worst panels and calls the
+integrand once, on the nodes of all their halves. Roots are refined the
+same way, all brackets in one call per round. Neither integrate nor
+find_sign_changes evaluates the ends of a piece or panel, however few
+floats lie between them, so integrands may be undefined there (an open
 support edge such as x = 0, a jump point), and a caller passes a window
-and its cuts as they are, as long as it splits panels at such points.
-On a sub-panel that deep refinement makes under 234 floats wide, the
-outermost GK15 nodes can round onto its ends.
+and its cuts as they are, as breakpoints.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ __all__ = [
     "signed_variation",
 ]
 
-# integrate stops once the summed error estimate meets
-# max(ABS_TOL, REL_TOL * |estimate|); a panel halved MAX_DEPTH times is
-# frozen, and MAX_PANELS GK15 panel evaluations end the call
-ABS_TOL = 1e-10
+# integrate stops once the summed error estimate is at most REL_TOL times
+# the summed |estimate| of its panels; a panel halved MAX_DEPTH times is
+# frozen, and MAX_PANELS GK15 panel evaluations end the run
 REL_TOL = 1e-9
 MAX_DEPTH = 60
 MAX_PANELS = 100_000
@@ -71,11 +69,16 @@ def _eval_nodes(f: Callable, xs: np.ndarray) -> np.ndarray:
 
 def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GK15 integrals and error estimates of f on the panels [a[i], b[i]],
-    from one call of f on all their nodes."""
+    from one call of f on all their nodes, or none if there are no panels.
+    The nodes are clipped strictly inside each panel, which must hold a
+    float: under 234 floats wide, the outermost would round onto its ends."""
+    if not a.size:
+        return a, a
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    xs = (c[:, None] + h[:, None] * _NODES).ravel()
-    ys = _eval_nodes(f, xs).reshape(-1, 15)
+    inside = np.nextafter(a, b)[:, None], np.nextafter(b, a)[:, None]
+    xs = np.clip(c[:, None] + h[:, None] * _NODES, *inside)
+    ys = _eval_nodes(f, xs.ravel()).reshape(-1, 15)
     if not np.isfinite(ys).all():
         raise ValueError("f must be finite at every quadrature node")
     kronrod = h * (ys @ _KRONROD_W)
@@ -83,45 +86,45 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return kronrod, np.abs(kronrod - gauss)
 
 
-def integrate(f: Callable, a: float, b: float) -> float:
-    """Integral of f over [a, b] by adaptive Gauss-Kronrod 7/15.
+def integrate(f: Callable, breakpoints: Sequence[float]) -> np.ndarray:
+    """Integrals of f over the pieces between consecutive breakpoints, by
+    one run of adaptive Gauss-Kronrod 7/15 whose starting panels are the
+    pieces.
 
-    Refinement runs in rounds until the summed error meets
-    max(ABS_TOL, REL_TOL * |estimate|). Each round halves the fewest
-    worst panels whose errors add up to the excess over that tolerance,
-    and evaluates all their halves in one call of f. A panel that
-    reaches MAX_DEPTH is frozen; if a frozen panel's error alone exceeds
-    the tolerance, if every panel is frozen, or once MAX_PANELS panel
-    evaluations are spent, NonConvergenceError is raised. A value of f
-    that is not finite at any node raises ValueError at once. With no
-    float inside [a, b] the result is 0 and f is not called; an interval
-    too narrow for the nodes to stay inside it (under 234 floats) is
-    integrated by its midpoint value.
+    Refinement runs in rounds until the summed error is at most REL_TOL
+    times the summed |estimate| of the panels, which is the integral of
+    |f| where f keeps one sign on each piece. Each round halves the
+    fewest worst panels, over all pieces, whose errors add up to the
+    excess over that tolerance, and evaluates all their halves in one
+    call of f. A panel too narrow to halve into two that hold a float is
+    final: refinement cannot cut its error, which no longer counts. A
+    panel that reaches MAX_DEPTH is frozen; if a frozen panel's error
+    alone exceeds the tolerance, if every panel is frozen, or once
+    MAX_PANELS panel evaluations are spent, NonConvergenceError is
+    raised. A value of f that is not finite at any node raises ValueError
+    at once. A piece with no float strictly inside contributes 0, and f
+    is not called on it.
     """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("bounds must be finite")
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if np.nextafter(a, b) == b:
-        return 0.0  # no node fits strictly inside
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    if not (a < c + h * _NODES[0] and c + h * _NODES[-1] < b):
-        # the outermost nodes would round onto the ends; c stays inside
-        y = float(_eval_nodes(f, np.array([c]))[0])
-        if not np.isfinite(y):
-            raise ValueError("f must be finite at every quadrature node")
-        return y * (b - a)
-
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    edges = np.asarray(breakpoints, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all():
+        raise ValueError("need at least two finite breakpoints")
+    if not (np.diff(edges) > 0.0).all():
+        raise ValueError(f"breakpoints must increase strictly, got {edges.tolist()}")
+    piece = np.flatnonzero(np.nextafter(edges[:-1], edges[1:]) < edges[1:])
+    lo, hi = edges[piece], edges[piece + 1]
     est, err = _gk15(f, lo, hi)
-    depth = np.zeros(1, dtype=int)
-    panels = 1
+    depth = np.zeros(piece.size, dtype=int)
+    panels = piece.size
     while True:
-        total_est, total_err = float(est.sum()), float(err.sum())
-        tol = max(ABS_TOL, REL_TOL * abs(total_est))
+        # halving must leave a float strictly inside either half
+        mid = 0.5 * (lo + hi)
+        final = (np.nextafter(lo, mid) >= mid) | (np.nextafter(mid, hi) >= hi)
+        err[final] = 0.0
+        total_err = float(err.sum())
+        tol = REL_TOL * float(np.abs(est).sum())
         if total_err <= tol:
-            return total_est
-        live = depth < MAX_DEPTH
+            return np.bincount(piece, weights=est, minlength=edges.size - 1)
+        live = (depth < MAX_DEPTH) & ~final
         stuck = np.flatnonzero(~live & (err > tol))
         if stuck.size:
             i = stuck[np.argmax(err[stuck])]
@@ -132,7 +135,7 @@ def integrate(f: Callable, a: float, b: float) -> float:
         if not live.any():
             raise NonConvergenceError(
                 f"residual error {total_err:.3e} above tolerance {tol:.3e} "
-                f"with every panel at max depth {MAX_DEPTH}"
+                f"with every panel frozen"
             )
         if panels >= MAX_PANELS:
             raise NonConvergenceError(
@@ -145,9 +148,8 @@ def integrate(f: Callable, a: float, b: float) -> float:
         k = 1 + int(np.count_nonzero(np.cumsum(err[worst]) < total_err - tol))
         # trimmed so that the work never passes MAX_PANELS + 1 evaluations
         split = worst[:min(k, (MAX_PANELS + 1 - panels) // 2)]
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
         new_est, new_err = _gk15(f, new_lo, new_hi)
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
@@ -155,8 +157,8 @@ def integrate(f: Callable, a: float, b: float) -> float:
         hi = np.concatenate([hi[keep], new_hi])
         est = np.concatenate([est[keep], new_est])
         err = np.concatenate([err[keep], new_err])
-        child = depth[split] + 1
-        depth = np.concatenate([depth[keep], child, child])
+        piece = np.concatenate([piece[keep], piece[split], piece[split]])
+        depth = np.concatenate([depth[keep], depth[split] + 1, depth[split] + 1])
         panels += new_lo.size
 
 
@@ -241,13 +243,10 @@ def sign_partition(
 def signed_variation(f: Callable, breakpoints: Sequence[float]) -> tuple[float, float]:
     """(increasing part, total variation) of the antiderivative of f.
 
-    Integrates f between consecutive breakpoints: the total accumulates
-    absolute piece integrals, the increasing part the positive ones.
-    Valid when the breakpoints really isolate the signs of f.
+    Integrates f over every piece between consecutive breakpoints in one
+    run: the total adds up the absolute piece integrals, the increasing
+    part the positive ones. Valid when the breakpoints really isolate
+    the signs of f.
     """
-    pos = total = 0.0
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        val = integrate(f, lo, hi)
-        total += abs(val)
-        pos += max(val, 0.0)
-    return pos, total
+    vals = integrate(f, breakpoints)
+    return float(np.maximum(vals, 0.0).sum()), float(np.abs(vals).sum())

@@ -334,12 +334,29 @@ class TestIngest:
         code, out, err = self.run_warning_free(capsys, "estimate", "--input", path)
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
+    # a stray double quote is reported on the line where its record
+    # starts, and no text may follow a closing quote in a field
+    @pytest.mark.parametrize("text,message", [
+        ('x,"y\n1,2\n3,4\n5,6\n', "line 1: unexpected end of data"),
+        ('x,y\n1,2\n"3,4\n5,6\n7,8\n', "line 3: unexpected end of data"),
+        ('x,y\n"1"2,3\n4,5\n', "line 2: ',' expected after '\"'"),
+        ('x,y\n1,2\n"3\n",abc\n', "line 3: expected two numeric columns"),
+    ], ids=["header", "data-row", "after-closing-quote", "two-line-record"])
+    def test_stray_quote_is_reported_where_its_record_starts(
+        self, capsys, tmp_path, text, message
+    ):
+        path = self.write(tmp_path, text)
+        code, out, err = self.run_warning_free(capsys, "estimate", "--input", path)
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
     @pytest.mark.parametrize("text,x,y", [
         ('"1",2\n3,4\n', [1, 3], [2, 4]),
         ("x,y\n1_0,2\n3,4\n", [10, 3], [2, 4]),
         ("1,2\n  \n3,4\n", [1, 3], [2, 4]),
         ("1,2\r3,4\r5,6\r", [1, 3, 5], [2, 4, 6]),
         ("1,2\n3,4", [1, 3], [2, 4]),
+        # strict quoting still takes a quoted header over two lines
+        ('"x\ny",z\n1,2\n3,4\n', [1, 3], [2, 4]),
     ])
     def test_accepted_as_before(self, tmp_path, text, x, y):
         pairs = cli._read_pairs(self.write(tmp_path, text))

@@ -28,26 +28,29 @@ def counted(f):
 
 class TestIntegrate:
     def test_polynomials_near_exact(self):
-        np.testing.assert_allclose(integrate(lambda x: x, 0.0, 1.0), 0.5, rtol=1e-14)
+        np.testing.assert_allclose(integrate(lambda x: x, (0.0, 1.0))[0], 0.5, rtol=1e-14)
         np.testing.assert_allclose(
-            integrate(lambda x: x ** 20, 0.0, 1.0), 1.0 / 21.0, rtol=1e-13
+            integrate(lambda x: x ** 20, (0.0, 1.0))[0], 1.0 / 21.0, rtol=1e-13
         )
 
     def test_classic_values(self):
         np.testing.assert_allclose(
-            integrate(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0), np.pi, rtol=1e-12
+            integrate(lambda x: 4.0 / (1.0 + x * x), (0.0, 1.0))[0], np.pi, rtol=1e-12
         )
         np.testing.assert_allclose(
-            integrate(np.exp, 0.0, 1.0), np.e - 1.0, rtol=1e-12
+            integrate(np.exp, (0.0, 1.0))[0], np.e - 1.0, rtol=1e-12
         )
 
     def test_relative_tolerance_scales(self):
-        got = integrate(lambda x: 1e8 * np.sin(x), 0.0, np.pi)
+        got = integrate(lambda x: 1e8 * np.sin(x), (0.0, np.pi))[0]
         np.testing.assert_allclose(got, 2e8, rtol=1e-9)
+        # sqrt needs refinement at 0, at a scale of 1e-30 as at 1
+        got = integrate(lambda x: 1e-30 * np.sqrt(x), (0.0, 1.0))[0]
+        np.testing.assert_allclose(got, 2e-30 / 3.0, rtol=1e-9)
 
     def test_fundamental_theorem_on_transfer_derivative(self):
         """Integral of h' over [8, 12] recovers h(12) - h(8)."""
-        got = integrate(TF0.deriv, 8.0, 12.0)
+        got = integrate(TF0.deriv, (8.0, 12.0))[0]
         np.testing.assert_allclose(got, TF0.eval(12.0) - TF0.eval(8.0), rtol=1e-10)
 
     def test_matches_composite_simpson(self):
@@ -55,54 +58,67 @@ class TestIntegrate:
         fx = TF0.deriv(xs)
         h = xs[1] - xs[0]
         simpson = h / 3.0 * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
-        np.testing.assert_allclose(integrate(TF0.deriv, 0.1, 30.0), simpson, rtol=1e-9)
+        np.testing.assert_allclose(integrate(TF0.deriv, (0.1, 30.0))[0], simpson, rtol=1e-9)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
-            integrate(np.exp, 1.0, 1.0)
+            integrate(np.exp, (1.0, 1.0))[0]
         with pytest.raises(ValueError):
-            integrate(np.exp, 2.0, 1.0)
+            integrate(np.exp, (2.0, 1.0))[0]
         with pytest.raises(ValueError):
-            integrate(np.exp, 0.0, np.inf)
+            integrate(np.exp, (0.0, np.inf))[0]
+        for breaks in ((0.0,), (0.0, 2.0, 1.0), (0.0, 1.0, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="breakpoints"):
+                integrate(np.exp, breaks)
 
     def test_endpoint_blowup_raises_nonconvergence(self):
         # integrable but with unbounded variation near 0: panel error
         # cannot fall under tolerance within the depth budget
         with pytest.raises(NonConvergenceError):
-            integrate(lambda x: np.abs(x) ** -0.99, 0.0, 1.0)
+            integrate(lambda x: np.abs(x) ** -0.99, (0.0, 1.0))[0]
 
     def test_nonfinite_integrand_raises_at_once(self):
         # inf on the last tenth of [0, 1], as H is where h' overflows;
         # refinement could never converge there, so the first call raises
         f, sizes = counted(lambda x: np.where(x > 0.9, np.inf, x))
         with pytest.raises(ValueError, match="finite"):
-            integrate(f, 0.0, 1.0)
+            integrate(f, (0.0, 1.0))[0]
         assert len(sizes) == 1
 
     def test_constant_integrand_broadcasts(self):
-        np.testing.assert_allclose(integrate(lambda x: 2.0, 0.0, 3.0), 6.0, rtol=1e-13)
+        np.testing.assert_allclose(integrate(lambda x: 2.0, (0.0, 3.0))[0], 6.0, rtol=1e-13)
 
     def test_fast_oscillation_within_the_work_cap(self):
-        # ~60 000 panel evaluations, under the 100 000 cap
-        got = integrate(lambda x: np.sin(1e5 * x), 0.0, 1.0)
+        # ~63 400 panel evaluations, under the 100 000 cap
+        got = integrate(lambda x: np.sin(1e5 * x), (0.0, 1.0))[0]
         np.testing.assert_allclose(got, (1.0 - np.cos(1e5)) / 1e5, rtol=1e-9)
 
     def test_work_cap_raises_nonconvergence(self):
-        # would take ~515 000 panel evaluations to converge
+        # would take ~515 400 panel evaluations to converge
         with pytest.raises(NonConvergenceError, match="panel evaluations"):
-            integrate(lambda x: np.sin(1e6 * x), 0.0, 1.0)
+            integrate(lambda x: np.sin(1e6 * x), (0.0, 1.0))[0]
 
     def test_one_integrand_call_per_refinement_round(self):
-        # ~60 000 panels, evaluated a round at a time
+        # ~63 400 panels, evaluated a round at a time in 16 calls
         f, sizes = counted(lambda x: np.sin(1e5 * x))
-        got = integrate(f, 0.0, 1.0)
+        got = integrate(f, (0.0, 1.0))[0]
         np.testing.assert_allclose(got, (1.0 - np.cos(1e5)) / 1e5, rtol=1e-9)
         assert len(sizes) <= 64
+
+    def test_returns_one_integral_per_piece(self):
+        # the last piece holds no float strictly inside, so it gives 0
+        breaks = (0.0, np.pi, 2.0 * np.pi, np.nextafter(2.0 * np.pi, 7.0))
+        np.testing.assert_allclose(integrate(np.sin, breaks), [2.0, -2.0, 0.0], rtol=1e-12)
+
+    def test_zero_integrand_returns_at_once(self):
+        f, sizes = counted(lambda x: np.zeros_like(x))
+        np.testing.assert_array_equal(integrate(f, (0.0, 1.0, 2.0)), [0.0, 0.0])
+        assert sizes == [30]
 
     def test_work_cap_counts_every_panel(self):
         f, sizes = counted(lambda x: np.sin(1e6 * x))
         with pytest.raises(NonConvergenceError, match="panel evaluations"):
-            integrate(f, 0.0, 1.0)
+            integrate(f, (0.0, 1.0))[0]
         assert sum(sizes) % 15 == 0
         assert sum(sizes) // 15 <= MAX_PANELS + 1
         assert len(sizes) <= 64
@@ -187,6 +203,12 @@ class TestSignPartition:
 
 
 class TestSignedVariation:
+    def test_one_run_for_all_pieces(self):
+        f, sizes = counted(np.sin)
+        pos, total = signed_variation(f, (0.0, np.pi, 2.0 * np.pi, 3.0 * np.pi))
+        assert sizes[0] == 45
+        np.testing.assert_allclose((pos, total), (4.0, 6.0), rtol=1e-12)
+
     def test_positive_function(self):
         breaks = sign_partition(np.exp, 0.0, 1.0)
         pos, total = signed_variation(np.exp, breaks)
@@ -239,5 +261,30 @@ class TestPanelsFewUlpsWide:
     def test_quadrature_keeps_off_the_ends(self, ulps):
         a = 16.0
         b = a + ulps * np.spacing(a)
-        got = integrate(self._open_only(a, b), a, b)
+        got = integrate(self._open_only(a, b), (a, b))[0]
         assert got == pytest.approx(0.0 if ulps == 1 else b - a)
+
+    # a step at the middle float: the first call puts a node on it, and
+    # from then on it is a panel end that no node of either half may reach
+    @pytest.mark.parametrize("ulps", [40, 300, 5000])
+    def test_refined_panels_keep_off_their_ends(self, ulps):
+        a = 16.0
+        b = a + ulps * np.spacing(a)
+        m = 0.5 * (a + b)
+        calls = []
+
+        def step(x):
+            assert ((x > a) & (x < b)).all()
+            assert not calls or not (x == m).any()
+            calls.append(x.size)
+            return np.where(x < m, 0.0, 1.0)
+
+        np.testing.assert_allclose(integrate(step, (a, b))[0], b - m, rtol=1e-9)
+
+    def test_panels_too_narrow_to_halve_keep_their_integral(self):
+        # e-fold every 300 float steps below 1: refinement reaches panels a
+        # few floats wide, whose halves would hold no float inside
+        u = np.spacing(0.5)
+        a = 1.0 - 5000 * u
+        got = integrate(lambda x: np.exp((x - a) / (300 * u)), (a, 1.0))[0]
+        np.testing.assert_allclose(got, 300 * u * np.expm1(5000 / 300), rtol=1e-5)

@@ -229,6 +229,16 @@ class TestViaH:
             with pytest.raises(ValueError, match="too coarse"):
                 theoretical_index_via_H(HFunction(tf=fn, dist=dist))
 
+    @pytest.mark.parametrize("alpha", [1.5, 5.0])
+    def test_tiny_h_to_full_precision(self, alpha):
+        # the integrals of H are ~1e-50 here, and the tolerance is relative
+        # to their sum, with no absolute floor to stop refinement early
+        tf = TransferFunction(gamma=1.0, delta=0.125, x0=0.00096875, rho=-0.5)
+        window = Window(0.0, 0.001)
+        dist = WindowedDistribution(LomaxParams(alpha, 1.0), window)
+        via = theoretical_index_via_H(HFunction(tf=tf, dist=dist)).value
+        assert abs(via - theoretical_index(tf, window).value) <= 1e-12
+
     def test_nonnegative_h_gives_one(self):
         dist = WindowedDistribution(LomaxParams(1.5, 1.0), Window(8.0, 12.0))
         via = theoretical_index_via_H(HFunction(tf=TransferFunction(), dist=dist))
@@ -413,6 +423,12 @@ class TestValuesRoute:
         got = theoretical_index(quadrature_only(tf), Window(0.0, 20.0)).value
         assert len(calls) == 1
         assert abs(got - theoretical_index(tf, Window(0.0, 20.0)).value) <= 1e-9
+
+    def test_derivative_only_tiny_h_to_full_precision(self):
+        # h rises from 0 to ~3.8e-40 on (0, 0.01], and int_abs is h(0.01)
+        tf = TransferFunction(gamma=1.0, delta=1.0)
+        got = theoretical_index(quadrature_only(tf), Window(0.0, 0.01)).int_abs
+        np.testing.assert_allclose(got, tf.eval(0.01), rtol=1e-12)
 
     def test_overflowing_jump_gives_one(self):
         # h(x0) ~ exp(750) and the declared jump rho*h(x0) overflow a double
