@@ -56,12 +56,17 @@ def lomax_cdf(params: LomaxParams, t):
     """F(t) = 1 - (beta / (t + beta))**alpha for t >= 0.
 
     Evaluated as -expm1(-alpha * log1p(t/beta)), which keeps full
-    precision for t near 0 where the direct form cancels.
+    precision for t near 0 where the direct form cancels; where t/beta
+    overflows, log1p(t/beta) is log t - log beta to within rounding.
     """
     t, scalar = _promote(t)
     if (t < 0.0).any():
         raise ValueError("t must be >= 0")
-    out = -np.expm1(-params.alpha * np.log1p(t / params.beta))
+    with np.errstate(over="ignore"):
+        log_ratio = np.log1p(t / params.beta)
+    big = np.isinf(log_ratio)
+    log_ratio[big] = np.log(t[big]) - np.log(params.beta)
+    out = -np.expm1(-params.alpha * log_ratio)
     return _demote(out, scalar)
 
 

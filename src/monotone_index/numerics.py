@@ -3,9 +3,10 @@
 The quadrature is a Gauss-Kronrod 7/15 pair under global worst-panel
 refinement, as in QUADPACK, run in rounds over all the pieces of a
 window at once: each round halves the worst panels and calls the
-integrand once, on the nodes of all their halves. Roots are refined the
-same way, all brackets in one call per round. Neither integrate nor
-find_sign_changes evaluates the ends of a piece or panel, however few
+integrand once, on the nodes of all their halves. The sign scan takes
+the same breakpoints: one call of f on the grids of all the pieces, then
+all brackets refined together, one call per round. Neither integrate nor
+sign_partition evaluates the ends of a piece or panel, however few
 floats lie between them, so integrands may be undefined there (an open
 support edge such as x = 0, a jump point), and a caller passes a window
 and its cuts as they are, as breakpoints.
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import NonConvergenceError
 
 __all__ = [
-    "find_sign_changes",
     "integrate",
     "sign_partition",
     "signed_variation",
@@ -32,7 +32,7 @@ __all__ = [
 REL_TOL = 1e-9
 MAX_DEPTH = 60
 MAX_PANELS = 100_000
-# scan points per sign_partition call, shared among its declared panels
+# scan points per sign_partition call, shared among its pieces by width
 SCAN_N = 100_000
 
 # dqk15 abscissae and weights: positive Kronrod nodes descending, zero last
@@ -57,7 +57,7 @@ _GAUSS_W = np.zeros(15)
 for _k, _w in zip((1, 3, 5), _WG[:3]):
     _GAUSS_W[_k] = _GAUSS_W[14 - _k] = _w
 _GAUSS_W[7] = _WG[3]
-# find_sign_changes splits each bracket into sixteenths
+# sign_partition splits each bracket into sixteenths
 _SIXTEENTHS = np.arange(17) / 16.0
 
 
@@ -65,6 +65,17 @@ def _eval_nodes(f: Callable, xs: np.ndarray) -> np.ndarray:
     """f on a node array; a scalar result such as a constant broadcasts."""
     ys = np.asarray(f(xs), dtype=float)
     return ys if ys.shape == xs.shape else np.broadcast_to(ys, xs.shape)
+
+
+def _edges(breakpoints: Sequence[float]) -> np.ndarray:
+    """The breakpoints as an array, checked: finite, at least two, and
+    strictly increasing."""
+    edges = np.asarray(breakpoints, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all():
+        raise ValueError("need at least two finite breakpoints")
+    if not (np.diff(edges) > 0.0).all():
+        raise ValueError(f"breakpoints must increase strictly, got {edges.tolist()}")
+    return edges
 
 
 def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,11 +116,7 @@ def integrate(f: Callable, breakpoints: Sequence[float]) -> np.ndarray:
     at once. A piece with no float strictly inside contributes 0, and f
     is not called on it.
     """
-    edges = np.asarray(breakpoints, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all():
-        raise ValueError("need at least two finite breakpoints")
-    if not (np.diff(edges) > 0.0).all():
-        raise ValueError(f"breakpoints must increase strictly, got {edges.tolist()}")
+    edges = _edges(breakpoints)
     piece = np.flatnonzero(np.nextafter(edges[:-1], edges[1:]) < edges[1:])
     lo, hi = edges[piece], edges[piece + 1]
     est, err = _gk15(f, lo, hi)
@@ -162,39 +169,50 @@ def integrate(f: Callable, breakpoints: Sequence[float]) -> np.ndarray:
         panels += new_lo.size
 
 
-def find_sign_changes(f: Callable, a: float, b: float, grid_n: int = SCAN_N) -> list[float]:
-    """Sign-change points of f strictly inside (a, b), sorted.
+def sign_partition(f: Callable, breakpoints: Sequence[float]) -> tuple[float, ...]:
+    """The breakpoints with the sign-change roots of f between them merged
+    in, strictly ascending, so that f keeps one sign on each new piece.
 
-    A grid scan brackets the sign flips; then every bracket is refined
-    at once, in rounds of one call of f on 15 interior points of each
-    open bracket, keeping the sixteenth where the sign flips, until its
-    width is at most 1e-12 or a single float step. A point where f is
-    exactly 0 is returned as the root. Tangential roots (no sign flip)
-    and root pairs closer than the grid pitch are missed by
-    construction; pick grid_n for the scale at hand. Endpoints are
-    nudged inward, so f may be undefined at a and b themselves.
+    One call of f scans all the pieces, each on a grid that gets a share
+    of SCAN_N proportional to its width, at least 1000, with its ends
+    nudged inward; no grid crosses a breakpoint, so f may be undefined or
+    jump there. Then every bracket of every piece is refined at once, in
+    rounds of one call of f on 15 interior points of each open bracket,
+    keeping the sixteenth where the sign flips, until its width is at
+    most 1e-12 or a single float step. A grid point where f is exactly 0
+    is a root if the sign flips across it. Tangential roots (no sign
+    flip) and root pairs closer than the grid pitch are missed by
+    construction. f is not called on a piece with no float strictly
+    inside, and a value of f that is not finite on a grid raises
+    ValueError.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got ({a}, {b})")
-    if grid_n < 100:
-        raise ValueError("grid_n must be >= 100")
-    xs = np.linspace(a, b, grid_n + 1)
-    # at least one ulp, so a narrow panel far from 0 still moves off a and b
-    margin = (b - a) * 1e-12
-    xs[0] = max(a + margin, np.nextafter(a, b))
-    xs[-1] = min(b - margin, np.nextafter(b, a))
-    if xs[0] > xs[-1]:
-        return []  # no float lies strictly inside (a, b)
-    # on a panel a few ulps wide, linspace can round an interior point onto a or b
-    xs[1:-1] = np.clip(xs[1:-1], xs[0], xs[-1])
+    edges = _edges(breakpoints)
+    ends = edges.tolist()
+    width = ends[-1] - ends[0]
+    grids = []
+    for lo, hi in zip(ends, ends[1:]):
+        xs = np.linspace(lo, hi, max(1000, round(SCAN_N * (hi - lo) / width)) + 1)
+        # at least one ulp, so a narrow piece far from 0 still moves off its ends
+        margin = (hi - lo) * 1e-12
+        xs[0] = max(lo + margin, np.nextafter(lo, hi))
+        xs[-1] = min(hi - margin, np.nextafter(hi, lo))
+        if xs[0] <= xs[-1]:  # else no float lies strictly inside (lo, hi)
+            # on a piece a few ulps wide, linspace can round an interior point onto an end
+            xs[1:-1] = np.clip(xs[1:-1], xs[0], xs[-1])
+            grids.append(xs)
+    if not grids:
+        return tuple(ends)
+    xs = np.concatenate(grids)
     ys = _eval_nodes(f, xs)
     if not np.isfinite(ys).all():
         raise ValueError("f must be finite on the scan grid")
     s = np.sign(ys)
-    # a grid node sitting exactly on a root counts only if the sign flips across it
-    on_grid = np.flatnonzero((s[1:-1] == 0.0) & (s[:-2] * s[2:] < 0.0)) + 1
-    roots = [xs[on_grid]]
-    i = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    # neither a bracket nor a grid root spans the gap between two pieces' grids
+    same = np.ones(xs.size - 1, dtype=bool)
+    same[np.cumsum([g.size for g in grids[:-1]], dtype=int) - 1] = False
+    on_grid = (s[1:-1] == 0.0) & (s[:-2] * s[2:] < 0.0) & same[:-1] & same[1:]
+    roots = [edges, xs[1:-1][on_grid]]
+    i = np.flatnonzero(same & (s[:-1] * s[1:] < 0.0))
     lo, hi, sign_lo = xs[i], xs[i + 1], s[i]
     while True:
         mid = 0.5 * (lo + hi)
@@ -202,7 +220,7 @@ def find_sign_changes(f: Callable, a: float, b: float, grid_n: int = SCAN_N) -> 
         roots.append(mid[done])
         lo, hi, sign_lo = lo[~done], hi[~done], sign_lo[~done]
         if not lo.size:
-            break
+            return tuple(np.unique(np.concatenate(roots)).tolist())
         pts = lo[:, None] + (hi - lo)[:, None] * _SIXTEENTHS
         pts[:, -1] = hi
         sp = np.sign(_eval_nodes(f, pts[:, 1:-1].ravel())).reshape(-1, 15)
@@ -214,30 +232,6 @@ def find_sign_changes(f: Callable, a: float, b: float, grid_n: int = SCAN_N) -> 
         hit = sp[rows, j] == 0.0
         roots.append(pts[rows, j + 1][hit])
         lo, hi, sign_lo = pts[rows, j][~hit], pts[rows, j + 1][~hit], sign_lo[~hit]
-    return sorted(float(r) for r in np.concatenate(roots))
-
-
-def sign_partition(
-    f: Callable, a: float, b: float, interior_breaks: Sequence[float] = ()
-) -> tuple[float, ...]:
-    """Breakpoints a < ... < b: the declared interior breaks plus the
-    sign-change roots of f, so f keeps one sign between neighbours.
-
-    Declared breakpoints enter before any scan, so no scan panel (and no
-    later quadrature panel) straddles a discontinuity. Each declared
-    panel gets a share of SCAN_N proportional to its width, floored so
-    narrow panels are still scanned properly.
-    """
-    interior = sorted(set(float(p) for p in interior_breaks))
-    if any(not a < p < b for p in interior):
-        raise ValueError("interior breakpoints must lie strictly inside (a, b)")
-    pts = [a, *interior, b]
-    breaks: list[float] = [a]
-    for lo, hi in zip(pts, pts[1:]):
-        share = max(1000, int(round(SCAN_N * (hi - lo) / (b - a))))
-        breaks.extend(find_sign_changes(f, lo, hi, share))
-        breaks.append(hi)
-    return tuple(breaks)
 
 
 def signed_variation(f: Callable, breakpoints: Sequence[float]) -> tuple[float, float]:

@@ -76,36 +76,35 @@ def _finish(jumps, int_pos: float, int_abs: float, scale: float = 1.0) -> IndexB
     return IndexBreakdown(*parts, float(value))
 
 
-def _breakpoints(fn, a: float, b: float) -> tuple[list[float], dict[float, float]]:
+def _breakpoints(fn, a: float, b: float) -> tuple[tuple[float, ...], dict[float, float]]:
     """Where (a, b] is cut, in x, and which jumps it holds.
 
-    Returns the cuts strictly inside (a, b), ascending, between which fn is
-    continuous and monotone: the jumps there, plus fn.critical_points(a, b)
-    if fn declares it, or else the sign changes of fn.deriv that a scan of
-    the window finds (it never evaluates deriv at a, b or a jump); and the
-    sizes of those jumps by location, the only ones counted. Only
-    fn.jumps and one of fn.critical_points and fn.deriv are read.
+    Returns the breakpoints a < ... < b between which fn is continuous and
+    monotone: the jumps inside (a, b), plus fn.critical_points(a, b) if fn
+    declares it, or else the sign changes of fn.deriv that a scan of the
+    pieces between the jumps finds (it never evaluates deriv at a, b or a
+    jump); and the sizes of those jumps by location, the only ones
+    counted. Only fn.jumps and one of fn.critical_points and fn.deriv are
+    read.
     """
     jumps = {x: s for x, s in fn.jumps if a < x < b}
     if hasattr(fn, "critical_points"):
-        found = fn.critical_points(a, b)
-    else:
-        found = sign_partition(fn.deriv, a, b, jumps)[1:-1]
-    return sorted({*found, *jumps}), jumps
+        return (a, *sorted({*fn.critical_points(a, b), *jumps}), b), jumps
+    return sign_partition(fn.deriv, (a, *sorted(jumps), b)), jumps
 
 
-def _telescoped(fn, a: float, b: float, cuts, jumps) -> IndexBreakdown:
-    """The index from values of fn at the window edges and cuts.
+def _telescoped(fn, breaks, jumps) -> IndexBreakdown:
+    """The index from values of fn at the breakpoints.
 
-    Between consecutive points p < q fn is monotone, so its variation on
-    (p, q] is |fn(q) - fn(p+)|, with the right limit fn(p+) taken one
+    Between consecutive breakpoints p < q fn is monotone, so its variation
+    on (p, q] is |fn(q) - fn(p+)|, with the right limit fn(p+) taken one
     float step above p; a jump is fn(p+) - fn(p) at a declared jump p.
     Values come from log_eval, divided by the largest in log space so that
     windows where fn overflows stay finite, or else from eval, divided by
     the largest |value|.
     """
-    n = len(cuts) + 1
-    pts = np.concatenate([[*cuts, b], np.nextafter([a, *cuts], b)])
+    n = len(breaks) - 1
+    pts = np.concatenate([breaks[1:], np.nextafter(breaks[:-1], breaks[-1])])
     if hasattr(fn, "log_eval"):
         logs = fn.log_eval(pts)
         log_scale = float(logs.max())
@@ -119,7 +118,7 @@ def _telescoped(fn, a: float, b: float, cuts, jumps) -> IndexBreakdown:
         vals = vals / (scale or 1.0)  # all zeros stay 0, for _finish to reject
     left, right = vals[:n], vals[n:]
     d = left - right
-    steps = [r - v for x, v, r in zip(cuts, left, right[1:]) if x in jumps]
+    steps = [r - v for x, v, r in zip(breaks[1:-1], left, right[1:]) if x in jumps]
     return _finish(steps, float(d[d > 0.0].sum()), float(np.abs(d).sum()), scale)
 
 
@@ -149,10 +148,10 @@ def theoretical_index(fn, window: Window) -> IndexBreakdown:
     s_lo, s_hi = fn.support
     if a < s_lo or b > s_hi:
         raise ValueError(f"window ({a}, {b}] outside the domain ({s_lo}, {s_hi}]")
-    cuts, jumps = _breakpoints(fn, a, b)
+    breaks, jumps = _breakpoints(fn, a, b)
     if hasattr(fn, "log_eval") or hasattr(fn, "eval"):
-        return _telescoped(fn, a, b, cuts, jumps)
-    int_pos, int_abs = signed_variation(fn.deriv, [a, *cuts, b])
+        return _telescoped(fn, breaks, jumps)
+    int_pos, int_abs = signed_variation(fn.deriv, breaks)
     return _finish(jumps.values(), int_pos, int_abs)
 
 
@@ -180,7 +179,8 @@ def theoretical_index_via_H(hf: HFunction) -> IndexBreakdown:
     a, b = dist.window.a, dist.window.b
     if dist.fb == 1.0:
         raise ValueError(f"F({b}) rounds to 1: the top of ({a}, {b}] is out of reach in u")
-    cuts, jumps = _breakpoints(hf.tf, a, b)
+    breaks, jumps = _breakpoints(hf.tf, a, b)
+    cuts = breaks[1:-1]
     images = dist.cdf(np.array(cuts, dtype=float)).tolist()
     # H is split at a jump's image, which only holds the jump if Q maps it back
     for x, u in zip(cuts, images):
@@ -199,11 +199,18 @@ def emit_h_profile(hf: HFunction, grid_n: int) -> np.ndarray:
 
     The grid starts one step above the open edge u = 0 and ends exactly
     at u = 1. A row landing float-exactly on a jump image is nudged half
-    a step toward 0 rather than erroring out.
+    a step toward 0 rather than erroring out. ValueError names the first
+    row where H is not finite (h' or the density overflows, or h' is
+    undefined there in floating point).
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     us = np.arange(1, grid_n + 1, dtype=float) / grid_n
     hit = np.isin(hf.dist.quantile(us), [x for x, _ in hf.tf.jumps])
     us[hit] -= 0.5 / grid_n
-    return np.column_stack([us, hf(us)])
+    hs = hf(us)
+    bad = np.flatnonzero(~np.isfinite(hs))
+    if bad.size:
+        u, h = float(us[bad[0]]), float(hs[bad[0]])
+        raise ValueError(f"H is not finite at u = {u!r}: H(u) = {h!r}")
+    return np.column_stack([us, hs])

@@ -122,8 +122,10 @@ class TransferFunction:
             raise SingularPointError(
                 f"derivative undefined at the switch point x0 = {self.x0}"
             )
-        p = (self.gamma * x * x + self.delta) ** 2 - 2.0 * self.delta * x
-        with np.errstate(over="ignore", divide="ignore"):
+        # inf or nan where p or the magnitude overflows, for the caller's
+        # finiteness check to report
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            p = (self.gamma * x * x + self.delta) ** 2 - 2.0 * self.delta * x
             mag = np.exp(
                 np.log(np.abs(p)) - 4.0 * np.log(x) + self.gamma * x - self.delta / x
             )

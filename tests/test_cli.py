@@ -153,6 +153,20 @@ class TestHfunc:
     def test_grid_validation(self, capsys):
         assert run(capsys, "hfunc", "--window", "8,12", "--grid", "1")[0] == 2
 
+    @pytest.mark.parametrize("argv, u", [
+        # p = inf - inf in h', so every row of H is nan
+        (("--grid", "5", "--gamma", "1e-8", "--delta", "1e300", "--x0", "1e8",
+          "--rho", "1e300", "--window", "0,1e300", "--alpha", "1e-8", "--beta", "1e300"),
+         "0.2"),
+        # h' overflows at x = 8000, the last row
+        (("--window", "0,8000", "--rho", "0.5", "--grid", "4"), "1.0"),
+    ])
+    def test_nonfinite_h_exits_3(self, capsys, argv, u):
+        code, out, err = run(capsys, "hfunc", *argv)
+        assert (code, out) == (3, "")
+        assert f"at u = {u}:" in err
+        assert "Warning" not in err
+
 
 class TestEstimate:
     def write(self, tmp_path, text):

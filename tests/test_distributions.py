@@ -58,6 +58,11 @@ class TestLomaxClosedForms:
                 rtol=1e-12,
             )
 
+    def test_cdf_where_t_over_beta_overflows(self):
+        # t/beta is inf, but log t - log beta is ~1381.55: F = 1.38e-5, not 1
+        got = lomax_cdf(LomaxParams(1e-8, 1e-300), 1e300)
+        np.testing.assert_allclose(got, 1.3815415124237774e-05, rtol=1e-12)
+
     def test_cdf_nondecreasing(self):
         t = np.linspace(0.0, 50.0, 2000)
         assert (np.diff(lomax_cdf(A15, t)) >= 0.0).all()

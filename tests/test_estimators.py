@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monotone_index import (
     DegenerateSampleError,
@@ -120,6 +123,21 @@ class TestEmpiricalIndex:
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             empirical_index(SamplePairs([1.0, 2.0, 3.0], [7.0, 7.0, 7.0]))
+
+    # the differences add up to the endpoint gap, so the positive sum is
+    # half of the total plus that gap; x holds ties, from a few values
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 60).flatmap(lambda n: st.tuples(
+        arrays(float, n, elements=st.sampled_from([0.0, 1.0, 2.5, 3.0]) | st.floats(-1e6, 1e6)),
+        arrays(float, n, elements=st.floats(-1e6, 1e6)),
+    )))
+    def test_index_from_the_endpoint_gap(self, xy):
+        x, y = xy
+        assume(np.ptp(y) > 0.0)
+        got = empirical_index(SamplePairs(x, y))
+        ys = y[np.argsort(x, kind="stable")]
+        want = 0.5 + (ys[-1] - ys[0]) / (2.0 * got.denominator)
+        assert abs(got.index - want) <= 1e-12
 
 
 class TestNoisyOutputs:

@@ -1,4 +1,4 @@
-"""Adaptive quadrature, sign-change location, and signed variation."""
+"""Adaptive quadrature, sign partitioning, and signed variation."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from monotone_index import NonConvergenceError, TransferFunction
 from monotone_index.numerics import (
     MAX_PANELS,
-    find_sign_changes,
     integrate,
     sign_partition,
     signed_variation,
@@ -24,6 +23,17 @@ def counted(f):
         return f(x)
 
     return wrapped, sizes
+
+
+def recorded(f):
+    """f plus the list of the point arrays of each call made to it."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    return wrapped, calls
 
 
 class TestIntegrate:
@@ -126,19 +136,19 @@ class TestIntegrate:
 
 class TestFindSignChanges:
     def test_single_linear_root(self):
-        (root,) = find_sign_changes(lambda x: x - 1.0, 0.0, 2.0, grid_n=100)
+        (root,) = sign_partition(lambda x: x - 1.0, (0.0, 2.0))[1:-1]
         np.testing.assert_allclose(root, 1.0, atol=1e-9)
 
     def test_no_roots(self):
-        assert find_sign_changes(lambda x: x * x + 1.0, 0.0, 2.0, grid_n=100) == []
+        assert sign_partition(lambda x: x * x + 1.0, (0.0, 2.0))[1:-1] == ()
 
     def test_sine_roots(self):
-        roots = find_sign_changes(np.sin, 0.5, 10.0, grid_n=1000)
+        roots = sign_partition(np.sin, (0.5, 10.0))[1:-1]
         np.testing.assert_allclose(roots, [np.pi, 2.0 * np.pi, 3.0 * np.pi], atol=1e-9)
 
     def test_all_brackets_refined_together(self):
         f, sizes = counted(np.sin)
-        roots = find_sign_changes(f, 0.5, 100.0, grid_n=1000)
+        roots = sign_partition(f, (0.5, 100.0))[1:-1]
         np.testing.assert_allclose(roots, np.pi * np.arange(1, 32), atol=1e-9)
         # the scan, then one call per round of sixteenths until 1e-12
         assert len(sizes) <= 12
@@ -152,12 +162,12 @@ class TestFindSignChanges:
             return (x - 10000.3) + 9e-13
 
         f, sizes = counted(f)
-        (root,) = find_sign_changes(f, 1e4, 1e4 + 1.0, grid_n=100)
+        (root,) = sign_partition(f, (1e4, 1e4 + 1.0))[1:-1]
         np.testing.assert_allclose(root, 10000.3, atol=4e-12)
 
     def test_transfer_derivative_roots(self):
         """The two stationary points of h, frozen from a bisection oracle."""
-        roots = find_sign_changes(TF0.deriv, 0.01, 20.0)
+        roots = sign_partition(TF0.deriv, (0.01, 20.0))[1:-1]
         np.testing.assert_allclose(
             roots, [0.5282995238161798, 4.455467250491141], atol=1e-9
         )
@@ -176,17 +186,13 @@ class TestFindSignChanges:
             return np.asarray(x) - 0.5
 
         with pytest.raises(ValueError):
-            find_sign_changes(partly_undefined, 0.0, 1.0, 1000)
+            sign_partition(partly_undefined, (0.0, 1.0))
         assert len(calls) == 1
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            find_sign_changes(np.sin, 0.0, 1.0, grid_n=50)
 
 
 class TestSignPartition:
     def test_partition_around_roots(self):
-        breaks = sign_partition(TF0.deriv, 0.01, 2.0)
+        breaks = sign_partition(TF0.deriv, (0.01, 2.0))
         assert len(breaks) == 3
         assert breaks[0] == 0.01
         assert breaks[-1] == 2.0
@@ -195,11 +201,38 @@ class TestSignPartition:
     def test_declared_breaks_enter_partition(self):
         # h' keeps its sign on (8, 12], so the jump is the only break
         tf = TransferFunction(rho=-0.5)
-        assert sign_partition(tf.deriv, 8.0, 12.0, interior_breaks=(10.0,)) == (8.0, 10.0, 12.0)
+        assert sign_partition(tf.deriv, (8.0, 10.0, 12.0)) == (8.0, 10.0, 12.0)
 
     def test_interior_break_validation(self):
-        with pytest.raises(ValueError):
-            sign_partition(np.sin, 0.0, 1.0, interior_breaks=(2.0,))
+        bad = ((0.0, 2.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0), (0.0,), (),
+               (0.0, np.inf), (np.nan, 1.0), ((0.0, 1.0), (2.0, 3.0)))
+        for breaks in bad:
+            with pytest.raises(ValueError, match="breakpoints"):
+                sign_partition(np.sin, breaks)
+
+    def test_one_scan_call_holds_every_piece(self):
+        breaks = (0.5, 4.0, 9.0, 20.0)
+        f, calls = recorded(np.sin)
+        got = sign_partition(f, breaks)
+        np.testing.assert_allclose(
+            [x for x in got if x not in breaks], np.pi * np.arange(1, 7), atol=1e-9
+        )
+        assert set(breaks) <= set(got)
+        # the first call is the scan: at least 1000 points strictly inside
+        # each piece, none on a breakpoint; the rest are refinement rounds
+        scan = calls[0]
+        for lo, hi in zip(breaks, breaks[1:]):
+            assert ((scan > lo) & (scan < hi)).sum() >= 1000
+        assert not np.isin(scan, breaks).any()
+        assert all(c.size == 15 * 6 for c in calls[1:])
+        assert len(calls) <= 12
+
+    def test_pieces_without_floats_call_f_zero_times(self):
+        a = 16.0
+        breaks = (a, np.nextafter(a, 17.0), np.nextafter(np.nextafter(a, 17.0), 17.0))
+        f, sizes = counted(np.sin)
+        assert sign_partition(f, breaks) == breaks
+        assert sizes == []
 
 
 class TestSignedVariation:
@@ -210,7 +243,7 @@ class TestSignedVariation:
         np.testing.assert_allclose((pos, total), (4.0, 6.0), rtol=1e-12)
 
     def test_positive_function(self):
-        breaks = sign_partition(np.exp, 0.0, 1.0)
+        breaks = sign_partition(np.exp, (0.0, 1.0))
         pos, total = signed_variation(np.exp, breaks)
         np.testing.assert_allclose(pos, total, rtol=1e-15)
         np.testing.assert_allclose(total, np.e - 1.0, rtol=1e-10)
@@ -219,7 +252,7 @@ class TestSignedVariation:
         """On (0.01, 2] h rises to its local max then falls, so the
         increasing part is h(r1) - h(0.01) and the rest is given by the
         evaluation of h alone, no quadrature involved."""
-        breaks = sign_partition(TF0.deriv, 0.01, 2.0)
+        breaks = sign_partition(TF0.deriv, (0.01, 2.0))
         pos, total = signed_variation(TF0.deriv, breaks)
         r1 = 0.5282995238161798
         up = TF0.eval(r1) - TF0.eval(0.01)
@@ -233,7 +266,7 @@ class TestSignedVariation:
 
     def test_scaled_segments_with_declared_break(self):
         tf = TransferFunction(rho=-0.5)
-        breaks = sign_partition(tf.deriv, 8.0, 12.0, interior_breaks=(10.0,))
+        breaks = sign_partition(tf.deriv, (8.0, 10.0, 12.0))
         pos, total = signed_variation(tf.deriv, breaks)
         want = (TF0.eval(10.0) - TF0.eval(8.0)) + 0.5 * (TF0.eval(12.0) - TF0.eval(10.0))
         np.testing.assert_allclose(pos, want, rtol=1e-10)
@@ -253,7 +286,7 @@ class TestPanelsFewUlpsWide:
     def test_scan_never_evaluates_the_ends(self, ulps):
         a = 16.0
         b = a + ulps * np.spacing(a)
-        assert find_sign_changes(self._open_only(a, b), a, b, 1000) == []
+        assert sign_partition(self._open_only(a, b), (a, b)) == (a, b)
 
     # no float lies strictly inside a panel one ulp wide; below 234 ulps
     # the outermost GK15 nodes would round onto an end

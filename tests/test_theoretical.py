@@ -293,6 +293,18 @@ class TestProfile:
         with pytest.raises(ValueError):
             emit_h_profile(self._hf(), 1)
 
+    @pytest.mark.parametrize("tf, window, params, u", [
+        # p = inf - inf in h', so every row of H is nan
+        (TransferFunction(1e-8, 1e300, 1e8, 1e300), Window(0.0, 1e300),
+         LomaxParams(1e-8, 1e300), 0.25),
+        # h' overflows at x = 8000, the last row
+        (TransferFunction(rho=0.5), Window(0.0, 8000.0), LomaxParams(1.5, 1.0), 1.0),
+    ])
+    def test_nonfinite_h_raises(self, tf, window, params, u):
+        hf = HFunction(tf=tf, dist=WindowedDistribution(params, window))
+        with pytest.raises(ValueError, match=f"at u = {u!r}:"):
+            emit_h_profile(hf, 4)
+
 
 def quadrature_only(tf):
     """tf without critical_points, so theoretical_index integrates its
@@ -389,7 +401,7 @@ class TestClosedForm:
                 [dist.cdf(x) for x in tf.critical_points(window.a, window.b)]
             )
             jumps = [dist.cdf(x) for x, _ in tf.jumps if window.a < x < window.b]
-            breaks = sign_partition(hf, 0.0, 1.0, jumps)
+            breaks = sign_partition(hf, (0.0, *jumps, 1.0))
             for root in set(breaks[1:-1]) - set(jumps):
                 assert images.size and np.abs(images - root).min() <= 1e-9
 
@@ -525,6 +537,23 @@ class TestInvariance:
         tf, window = case
         got = theoretical_index(scaled(tf, 10.0 ** k), window).value
         assert abs(got - theoretical_index(tf, window).value) <= 1e-12
+
+    # the increases and the decreases add up to the net change h(b) - h(a+),
+    # so a jump counted twice or a piece dropped breaks value = 1/2 + net/(2 den)
+    @pytest.mark.parametrize("route, tol", [
+        (lambda tf: tf, 1e-12),
+        (lambda tf: tf.as_piecewise(), 1e-12),
+        (quadrature_only, 1e-9),
+    ], ids=["closed-form", "piecewise", "derivative-only"])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(transfer_cases())
+    def test_jumps_and_variation_add_up_to_the_net_change(self, route, tol, case):
+        tf, window = case
+        h_b = tf.eval(window.b)
+        assume(np.isfinite(h_b))
+        net = h_b - tf.eval(np.nextafter(window.a, window.b))
+        got = theoretical_index(route(tf), window)
+        assert abs(got.value - (0.5 + net / (2.0 * (got.jump_abs + got.int_abs)))) <= tol
 
     # the negated piecewise form is telescoped from its values; without
     # them only its derivative is known, and that is integrated
